@@ -3,10 +3,12 @@
 
 For each state: sample an invariant pair and record the worst invariance
 residual, and compare the block-counting group dimension against the
-lie-algebra nullspace oracle.
+lie-algebra nullspace oracle. Exits 1 on any oracle mismatch or when the
+worst residual exceeds RESIDUAL_LIMIT, so it can gate CI.
 """
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
@@ -19,6 +21,8 @@ from uli import (
     random_state_with_spectrum,
     sample_invariant_pair,
 )
+
+RESIDUAL_LIMIT = 1e-10
 
 
 def clustered_spectrum(rng, rank):
@@ -72,7 +76,8 @@ def main():
     print("group dimension histogram:")
     for dim in sorted(dim_histogram):
         print(f"  dim {dim:3d}: {dim_histogram[dim]}")
+    return 1 if mismatches or worst_residual > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

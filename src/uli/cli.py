@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,12 +21,19 @@ import numpy as np
 
 from .bipartite import random_state_with_spectrum, state_from_matrix
 from .config import (
+    DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
     default_decision_tol,
 )
 from .errors import ToolkitError
-from .io import read_state_file, read_unitary_file, write_state_file, write_unitary_file
+from .io import (
+    _matrix_payload,
+    read_state_file,
+    read_unitary_file,
+    write_state_file,
+    write_unitary_file,
+)
 from .invariance import (
     NoSolution,
     UnitaryPair,
@@ -45,8 +53,6 @@ EXIT_INPUT = 2
 EXIT_ORACLE = 3
 EXIT_USAGE = 64
 
-REVERIFY_TOL = 1e-10
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the exit-code scheme reserves 2 for
@@ -63,15 +69,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
+    return value
+
+
 def _add_common(parser, *, tol=False, structure=False, normalize=False,
                 fmt=False, lenient=False):
     if structure:
-        parser.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+        parser.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL,
                             help="relative cutoff separating zero singular values")
-        parser.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL,
+        parser.add_argument("--degeneracy-tol", type=_tolerance, default=DEFAULT_DEGENERACY_TOL,
                             help="relative gap below which singular values cluster")
     if tol:
-        parser.add_argument("--tol", type=float, default=None,
+        parser.add_argument("--tol", type=_tolerance, default=None,
                             help="decision tolerance (default 1e-10, or ULI_DEFAULT_TOL)")
     if normalize:
         parser.add_argument("--normalize", action="store_true",
@@ -134,13 +147,6 @@ def _resolve_tol(args) -> float:
     return default_decision_tol()
 
 
-def _matrix_lists(m: np.ndarray) -> dict:
-    return {
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
-
-
 def _analysis_payload(state, structure, gdim, odim) -> dict:
     spectrum = structure.spectrum
     sch = structure.schmidt
@@ -162,8 +168,8 @@ def _analysis_payload(state, structure, gdim, odim) -> dict:
         "group_dimension": gdim,
         "lie_algebra_dimension": odim,
         "oracle_agreement": gdim == odim,
-        "schmidt_basis_side1": _matrix_lists(sch.s1),
-        "schmidt_basis_side2": _matrix_lists(sch.s2),
+        "schmidt_basis_side1": _matrix_payload(sch.s1),
+        "schmidt_basis_side2": _matrix_payload(sch.s2),
     }
 
 
@@ -228,7 +234,7 @@ def cmd_sample(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         pair = sample_invariant_pair(structure, rng)
-        check = is_invariant(pair, state, tol=REVERIFY_TOL)
+        check = is_invariant(pair, state, tol=DEFAULT_DECISION_TOL)
         if not check.invariant:
             print(f"error: sampled pair {i} fails re-verification "
                   f"(residual {check.residual:.3e})", file=sys.stderr)

@@ -7,6 +7,7 @@ values here are only the documented defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,8 +24,8 @@ DEFAULT_DEGENERACY_TOL = 1e-8
 #: Residual threshold for yes/no decisions (invariance, commutants, undo).
 DEFAULT_DECISION_TOL = 1e-10
 
-#: Entrywise reconstruction budget for factorizations, relative to sigma_max.
-RECONSTRUCTION_TOL = 1e-12
+#: Max-entry unitarity defect accepted for unitaries read or passed in.
+UNITARY_TOL = 1e-10
 
 #: Kronecker products with more entries than this are refused.
 KRON_ENTRY_CAP = 2**20
@@ -44,8 +45,14 @@ class Tolerances:
 
 
 def default_decision_tol() -> float:
-    """Decision tolerance honoring the ULI_DEFAULT_TOL environment variable."""
+    """Decision tolerance honoring the ULI_DEFAULT_TOL environment variable.
+
+    Raises ValueError unless the variable holds a finite non-negative number.
+    """
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return DEFAULT_DECISION_TOL
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{TOL_ENV_VAR} must be a finite non-negative number, got {raw!r}")
+    return value

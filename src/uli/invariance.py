@@ -33,6 +33,7 @@ from .config import (
     DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
+    UNITARY_TOL,
 )
 from .errors import DimensionMismatch, NotUnitary
 from .matkernel import (
@@ -138,6 +139,22 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     return InvarianceStructure(schmidt=schmidt, spectrum=spectrum, blocks=tuple(blocks))
 
 
+def _block_diagonal(structure: InvarianceStructure, dim: int, blocks,
+                    null: np.ndarray | None) -> np.ndarray:
+    """dim x dim Schmidt-basis matrix allowed by the stabilizer pattern.
+
+    ``blocks`` go on the support blocks of ``structure.blocks`` in order,
+    ``null`` on the null block from ``structure.rank`` on; all else is zero.
+    """
+    r = np.zeros((dim, dim), dtype=np.complex128)
+    for block, w in zip(structure.blocks, blocks):
+        sl = slice(block.start, block.start + block.size)
+        r[sl, sl] = w
+    if null is not None:
+        r[structure.rank:, structure.rank:] = null
+    return r
+
+
 def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generator) -> UnitaryPair:
     """Draw a Haar-random element of the stabilizer group.
 
@@ -145,18 +162,12 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     null blocks are drawn independently (side 1 first, then side 2). The draw
     order is fixed so a seeded generator reproduces the same pair.
     """
-    d1, d2, rank = structure.d1, structure.d2, structure.rank
-    r1 = np.zeros((d1, d1), dtype=np.complex128)
-    r2 = np.zeros((d2, d2), dtype=np.complex128)
-    for block in structure.blocks:
-        w = haar_unitary(block.size, rng)
-        sl = slice(block.start, block.start + block.size)
-        r1[sl, sl] = w
-        r2[sl, sl] = w.conj()
-    if d1 > rank:
-        r1[rank:, rank:] = haar_unitary(d1 - rank, rng)
-    if d2 > rank:
-        r2[rank:, rank:] = haar_unitary(d2 - rank, rng)
+    ws = [haar_unitary(block.size, rng) for block in structure.blocks]
+    n1, n2 = structure.null_dims
+    null1 = haar_unitary(n1, rng) if n1 else None
+    null2 = haar_unitary(n2, rng) if n2 else None
+    r1 = _block_diagonal(structure, structure.d1, ws, null1)
+    r2 = _block_diagonal(structure, structure.d2, [w.conj() for w in ws], null2)
     s1, s2 = structure.schmidt.s1, structure.schmidt.s2
     return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
 
@@ -197,22 +208,9 @@ def commutant_check(pair: UnitaryPair, state: BipartiteState,
     return CommutantCheck(side1=res1 <= tol, side2=res2 <= tol, residual1=res1, residual2=res2)
 
 
-def _block_pattern(structure: InvarianceStructure, dim: int) -> np.ndarray:
-    """Boolean mask of entries the stabilizer allows in the Schmidt basis."""
-    mask = np.zeros((dim, dim), dtype=bool)
-    for block in structure.blocks:
-        sl = slice(block.start, block.start + block.size)
-        mask[sl, sl] = True
-    rank = structure.rank
-    if dim > rank:
-        mask[rank:, rank:] = True
-    return mask
-
-
 def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
                   rank_tol: float = DEFAULT_RANK_TOL,
-                  degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-                  unitary_tol: float = 1e-10) -> UnitaryPair | NoSolution:
+                  degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> UnitaryPair | NoSolution:
     """Find u2 on subsystem 2 undoing the action of ``u1`` on subsystem 1.
 
     In the Schmidt basis ``r1 = s1.conj() @ u1 @ s1.T`` must be block-diagonal
@@ -226,26 +224,22 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
     if m1.shape != (state.d1, state.d1):
         raise DimensionMismatch(f"u1 must be {state.d1}x{state.d1}, got {m1.shape}")
     defect = unitarity_defect(m1)
-    if defect > unitary_tol:
+    if defect > UNITARY_TOL:
         raise NotUnitary(f"u1 deviates from unitarity by {defect:.3e}")
 
     structure = invariance_structure(state, rank_tol=rank_tol, degeneracy_tol=degeneracy_tol)
     s1, s2 = structure.schmidt.s1, structure.schmidt.s2
     r1 = s1.conj() @ m1 @ s1.T
 
-    allowed = _block_pattern(structure, state.d1)
-    off_entries = np.abs(r1[~allowed])
-    off_mass = float(off_entries.max()) if off_entries.size else 0.0
+    rank = structure.rank
+    support = [r1[b.start:b.start + b.size, b.start:b.start + b.size] for b in structure.blocks]
+    allowed = _block_diagonal(structure, state.d1, support, r1[rank:, rank:])
+    off_mass = float(np.max(np.abs(r1 - allowed)))
     if off_mass > tol:
         return NoSolution(off_block_mass=off_mass)
 
-    r2 = np.zeros((state.d2, state.d2), dtype=np.complex128)
-    for block in structure.blocks:
-        sl = slice(block.start, block.start + block.size)
-        r2[sl, sl] = r1[sl, sl].conj()
-    rank = structure.rank
-    if state.d2 > rank:
-        r2[rank:, rank:] = np.eye(state.d2 - rank)
+    r2 = _block_diagonal(structure, state.d2, [w.conj() for w in support],
+                         np.eye(state.d2 - rank))
     return UnitaryPair(u1=m1, u2=s2.T @ r2 @ s2.conj())
 
 
@@ -255,23 +249,21 @@ def group_dimension(structure: InvarianceStructure) -> int:
     return sum(block.size**2 for block in structure.blocks) + n1**2 + n2**2
 
 
-def _anti_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the n x n anti-Hermitian matrices, in a fixed order."""
-    basis = []
-    for k in range(n):
-        g = np.zeros((n, n), dtype=np.complex128)
-        g[k, k] = 1j
-        basis.append(g)
-    for j in range(n):
-        for k in range(j + 1, n):
-            g = np.zeros((n, n), dtype=np.complex128)
-            g[j, k] = 1.0
-            g[k, j] = -1.0
-            basis.append(g)
-            g = np.zeros((n, n), dtype=np.complex128)
-            g[j, k] = 1j
-            g[k, j] = 1j
-            basis.append(g)
+def _anti_hermitian_basis(n: int) -> np.ndarray:
+    """Real basis of the n x n anti-Hermitian matrices, stacked in a fixed order.
+
+    The n imaginary diagonal units come first, then for each j < k in row-major
+    order the antisymmetric real and the symmetric imaginary off-diagonal pair.
+    """
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1j
+    j, k = np.triu_indices(n, 1)
+    real = n + 2 * np.arange(j.size)
+    basis[real, j, k] = 1.0
+    basis[real, k, j] = -1.0
+    basis[real + 1, j, k] = 1j
+    basis[real + 1, k, j] = 1j
     return basis
 
 
@@ -287,11 +279,10 @@ def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_T
     oracle.
     """
     psi = state.psi
-    columns = []
-    for g in _anti_hermitian_basis(state.d1):
-        columns.append((g @ psi).ravel())
-    for g in _anti_hermitian_basis(state.d2):
-        columns.append((psi @ g.T).ravel())
-    complex_system = np.array(columns).T
+    products = np.concatenate([
+        _anti_hermitian_basis(state.d1) @ psi,
+        psi @ _anti_hermitian_basis(state.d2).transpose(0, 2, 1),
+    ])
+    complex_system = products.reshape(-1, psi.size).T
     system = np.vstack([complex_system.real, complex_system.imag])
     return real_nullspace_dimension(system, tol=tol)

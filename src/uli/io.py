@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bipartite import BipartiteState, state_from_matrix
-from .config import DEFAULT_NORM_TOL
+from .config import DEFAULT_NORM_TOL, UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
 from .matkernel import as_complex_matrix, unitarity_defect
 
@@ -86,8 +86,7 @@ def write_unitary_file(path: str, u: np.ndarray) -> None:
     _dump(obj, path)
 
 
-def read_unitary_file(source: str, *, lenient: bool = False,
-                      unitary_tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray, float]:
     """Parse a unitary file, returning the matrix and the correction applied.
 
     Matrices failing the unitarity check are rejected, unless ``lenient`` is
@@ -102,11 +101,11 @@ def read_unitary_file(source: str, *, lenient: bool = False,
         raise ValueError(f"dimension must be positive, got {n}")
     m = _matrix_from_payload(obj, n, n, "unitary")
     defect = unitarity_defect(m)
-    if defect <= unitary_tol:
+    if defect <= UNITARY_TOL:
         return m, 0.0
     if not lenient:
         raise NotUnitary(
-            f"matrix deviates from unitarity by {defect:.3e} (tolerance {unitary_tol:.1e})"
+            f"matrix deviates from unitarity by {defect:.3e} (tolerance {UNITARY_TOL:.1e})"
         )
     w, _, vh = np.linalg.svd(m)
     fixed = w @ vh

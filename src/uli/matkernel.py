@@ -63,30 +63,25 @@ class SvdResult:
         return self.u @ rect_diag(self.sigma, rows, cols) @ self.v.conj().T
 
 
+def _unit_phases(z: np.ndarray) -> np.ndarray:
+    # hypot rounds like the scalar abs(); np.abs on arrays does not always
+    return z / np.hypot(z.real, z.imag)
+
+
 def _normalize_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate each left singular vector so its first largest-modulus component
     # is real positive; compensate in the paired row of vh so the product is
     # unchanged. Unpaired columns/rows (beyond min(m, n)) multiply zero
     # singular values and are phase-fixed independently.
-    u = u.copy()
-    vh = vh.copy()
     paired = min(u.shape[0], vh.shape[0])
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        phase = pivot / abs(pivot)
-        u[:, k] = col * np.conj(phase)
-        if k < paired:
-            vh[k, :] = vh[k, :] * phase
-    for k in range(paired, vh.shape[0]):
-        row = vh[k, :]
-        pivot = row[np.argmax(np.abs(row))]
-        phase = pivot / abs(pivot)
-        vh[k, :] = row * np.conj(phase)
-    return u, vh
+    col_phase = _unit_phases(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    row_pivot = vh[np.arange(vh.shape[0]), np.argmax(np.abs(vh), axis=1)]
+    row_phase = np.concatenate([col_phase[:paired], _unit_phases(row_pivot[paired:]).conj()])
+    # explicit broadcast axes: a bare 1-d factor rounds differently on 1x1 input
+    return u * col_phase.conj()[None, :], vh * row_phase[:, None]
 
 
-def svd(m, *, phase_normalize: bool = True) -> SvdResult:
+def svd(m) -> SvdResult:
     """Full singular value decomposition with a deterministic phase convention.
 
     The phase convention (largest-modulus pivot of each left singular vector
@@ -98,8 +93,7 @@ def svd(m, *, phase_normalize: bool = True) -> SvdResult:
         u, sigma, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    if phase_normalize:
-        u, vh = _normalize_phases(u, vh)
+    u, vh = _normalize_phases(u, vh)
     return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
 
 

@@ -89,6 +89,25 @@ class TestAnalyze:
         assert captured.out == ""
         assert "oracle" in captured.err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+        ("--rank-tol", "nan"), ("--rank-tol", "-1"),
+        ("--degeneracy-tol", "nan"), ("--degeneracy-tol", "-1"),
+    ])
+    def test_bad_tolerance_flag_is_usage_error(self, bell_file, capsys, flag, value):
+        assert main(["analyze", bell_file, f"{flag}={value}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_env_tolerance_is_input_error(self, bell_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("ULI_DEFAULT_TOL", value)
+        assert main(["analyze", bell_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ULI_DEFAULT_TOL" in captured.err
+
 
 class TestSample:
     def test_pairs_verify_and_reproduce(self, bell_file, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import distinct_spectrum, fuzz_state
+from conftest import clustered_spectrum, distinct_spectrum, fuzz_state
 from uli import (
     DimensionMismatch,
     NoSolution,
@@ -234,6 +234,50 @@ class TestUndoOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             undo_operator(np.eye(2) * 2.0, bell_state())
+
+    @staticmethod
+    def allowed_mask(structure, dim):
+        mask = np.zeros((dim, dim), dtype=bool)
+        for b in structure.blocks:
+            mask[b.start:b.start + b.size, b.start:b.start + b.size] = True
+        mask[structure.rank:, structure.rank:] = True
+        return mask
+
+    def test_off_block_mass_is_exact_max_outside_pattern(self):
+        rng = np.random.default_rng(12)
+        for d1, d2, rank in [(1, 3, 1), (3, 1, 1), (2, 5, 1), (5, 2, 2), (4, 6, 2),
+                             (6, 4, 3), (5, 5, 5), (7, 3, 2), (8, 8, 4)]:
+            sigma, _ = clustered_spectrum(rng, rank)
+            state = random_state_with_spectrum(sigma, d1, d2, rng)
+            structure = invariance_structure(state)
+            u1 = haar_unitary(d1, rng)
+            r1 = structure.schmidt.s1.conj() @ u1 @ structure.schmidt.s1.T
+            outside = np.abs(r1[~self.allowed_mask(structure, d1)])
+            result = undo_operator(u1, state)
+            if outside.size and outside.max() > 1e-10:
+                assert isinstance(result, NoSolution)
+                assert result.off_block_mass == outside.max()
+            else:
+                assert isinstance(result, UnitaryPair)
+
+    def test_solved_u2_has_conjugate_blocks_and_identity_null(self):
+        rng = np.random.default_rng(13)
+        for d1, d2, rank in [(1, 4, 1), (4, 1, 1), (3, 5, 2), (5, 3, 3), (6, 6, 3), (4, 4, 4)]:
+            sigma, _ = clustered_spectrum(rng, rank)
+            state = random_state_with_spectrum(sigma, d1, d2, rng)
+            structure = invariance_structure(state)
+            u1 = sample_invariant_pair(structure, rng).u1
+            result = undo_operator(u1, state)
+            assert isinstance(result, UnitaryPair)
+            s1, s2 = structure.schmidt.s1, structure.schmidt.s2
+            r1 = s1.conj() @ u1 @ s1.T
+            r2 = s2.conj() @ result.u2 @ s2.T
+            expected = np.zeros((d2, d2), dtype=complex)
+            for b in structure.blocks:
+                sl = slice(b.start, b.start + b.size)
+                expected[sl, sl] = r1[sl, sl].conj()
+            expected[rank:, rank:] = np.eye(d2 - rank)
+            np.testing.assert_allclose(r2, expected, atol=1e-12)
 
 
 class TestGroupDimension:

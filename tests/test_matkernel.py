@@ -59,6 +59,41 @@ class TestSvd:
             assert pivot.real > 0
             assert abs(pivot.imag) <= 1e-14
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_complex(rng, 1, 1),
+        lambda rng: random_complex(rng, 1, 6),
+        lambda rng: random_complex(rng, 6, 1),
+        lambda rng: random_complex(rng, 3, 5),
+        lambda rng: random_complex(rng, 5, 3),
+        lambda rng: random_complex(rng, 128, 128),
+        lambda rng: np.eye(4),
+        lambda rng: np.eye(3, 5),
+        lambda rng: np.ones((4, 4)),
+        lambda rng: np.ones((2, 7)),
+    ])
+    def test_phase_convention_matches_column_loop_bit_for_bit(self, make):
+        a = np.asarray(make(np.random.default_rng(7)), dtype=np.complex128)
+        # reference: phase-fix one left singular vector at a time, with the
+        # scalar modulus of its first largest-modulus entry
+        u, _, vh = np.linalg.svd(a, full_matrices=True)
+        u, vh = u.copy(), vh.copy()
+        paired = min(u.shape[0], vh.shape[0])
+        for k in range(u.shape[1]):
+            col = u[:, k]
+            pivot = col[np.argmax(np.abs(col))]
+            phase = pivot / abs(pivot)
+            u[:, k] = col * np.conj(phase)
+            if k < paired:
+                vh[k, :] = vh[k, :] * phase
+        for k in range(paired, vh.shape[0]):
+            row = vh[k, :]
+            pivot = row[np.argmax(np.abs(row))]
+            phase = pivot / abs(pivot)
+            vh[k, :] = row * np.conj(phase)
+        res = svd(a)
+        assert res.u.tobytes() == u.tobytes()
+        assert res.v.tobytes() == vh.conj().T.tobytes()
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
