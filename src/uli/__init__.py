@@ -27,7 +27,6 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_NORM_TOL,
     DEFAULT_RANK_TOL,
-    Tolerances,
 )
 from .errors import (
     BadSpectrum,
@@ -87,7 +86,6 @@ __all__ = [
     "SchmidtForm",
     "SupportBlock",
     "SvdResult",
-    "Tolerances",
     "ToolkitError",
     "UnitaryPair",
     "apply_local",

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL
+from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL, check_tolerance
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
-from .matkernel import as_complex_matrix, haar_unitary, rect_diag, svd
+from .matkernel import as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class BipartiteState:
         return float(np.linalg.norm(self.psi))
 
 
-def state_from_matrix(psi, *, normalize: bool = False, norm_tol: float = DEFAULT_NORM_TOL) -> BipartiteState:
+def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     """Validate a coefficient matrix and wrap it as a state.
 
     Non-normalized input is rejected unless ``normalize`` is set, in which
@@ -55,7 +55,7 @@ def state_from_matrix(psi, *, normalize: bool = False, norm_tol: float = DEFAULT
     """
     m = as_complex_matrix(psi, "psi")
     norm = float(np.linalg.norm(m))
-    if abs(norm - 1.0) <= norm_tol:
+    if abs(norm - 1.0) <= DEFAULT_NORM_TOL:
         return BipartiteState(psi=m, input_norm=norm)
     if not normalize:
         raise NotNormalized(norm)
@@ -64,8 +64,7 @@ def state_from_matrix(psi, *, normalize: bool = False, norm_tol: float = DEFAULT
     return BipartiteState(psi=m / norm, input_norm=norm)
 
 
-def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False,
-                  norm_tol: float = DEFAULT_NORM_TOL) -> BipartiteState:
+def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False) -> BipartiteState:
     """Fold a length d1*d2 amplitude vector into a state, subsystem-1 index major."""
     vec = np.asarray(amplitudes, dtype=np.complex128)
     if vec.ndim != 1:
@@ -74,7 +73,7 @@ def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False,
         raise DimensionMismatch(
             f"expected {d1 * d2} amplitudes for a {d1}x{d2} state, got {vec.size}"
         )
-    return state_from_matrix(vec.reshape(d1, d2), normalize=normalize, norm_tol=norm_tol)
+    return state_from_matrix(vec.reshape(d1, d2), normalize=normalize)
 
 
 def matrix_to_vec(state: BipartiteState) -> np.ndarray:
@@ -89,12 +88,8 @@ def apply_local(a, b, state: BipartiteState) -> BipartiteState:
     is performed: the result is normalized exactly when ``a`` and ``b`` are
     unitary.
     """
-    ma = as_complex_matrix(a, "a")
-    mb = as_complex_matrix(b, "b")
-    if ma.shape != (state.d1, state.d1):
-        raise DimensionMismatch(f"a must be {state.d1}x{state.d1}, got {ma.shape}")
-    if mb.shape != (state.d2, state.d2):
-        raise DimensionMismatch(f"b must be {state.d2}x{state.d2}, got {mb.shape}")
+    ma = as_square_matrix(a, "a", state.d1)
+    mb = as_square_matrix(b, "b", state.d2)
     return BipartiteState(psi=ma @ state.psi @ mb.T)
 
 
@@ -146,6 +141,13 @@ class SchmidtForm:
         return self.s1.T @ self.sigma_matrix() @ self.s2
 
 
+def _support_rank(sigma: np.ndarray, rank_tol: float) -> int:
+    """Number of values of a descending spectrum above ``rank_tol`` times the largest."""
+    rank_tol = check_tolerance(rank_tol, "rank_tol")
+    smax = float(sigma[0]) if sigma.size else 0.0
+    return int(np.count_nonzero(sigma > rank_tol * smax))
+
+
 def schmidt_decompose(state: BipartiteState, rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtForm:
     """Schmidt decomposition of a state via the SVD ``psi = u @ Sigma @ v.conj().T``.
 
@@ -154,10 +156,8 @@ def schmidt_decompose(state: BipartiteState, rank_tol: float = DEFAULT_RANK_TOL)
     unitaries.
     """
     res = svd(state.psi)
-    sigma = res.sigma
-    smax = float(sigma[0]) if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma > rank_tol * smax))
-    return SchmidtForm(s1=res.u.T, s2=res.v.conj().T, sigma=sigma, rank=rank)
+    rank = _support_rank(res.sigma, rank_tol)
+    return SchmidtForm(s1=res.u.T, s2=res.v.conj().T, sigma=res.sigma, rank=rank)
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,11 @@ class DegeneracySpectrum:
         return float(min(values[i] - values[i + 1] for i in range(len(values) - 1)))
 
 
+def _check_finite_nonnegative(s: np.ndarray) -> None:
+    if not np.all(np.isfinite(s)) or np.any(s < 0):
+        raise BadSpectrum("singular values must be finite and non-negative")
+
+
 def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
                      degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
                      dims: tuple[int, int] | None = None) -> DegeneracySpectrum:
@@ -203,8 +208,7 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 1:
         raise BadSpectrum(f"sigma must be a vector, got shape {s.shape}")
-    if s.size and np.any(s < 0):
-        raise BadSpectrum("singular values must be non-negative")
+    _check_finite_nonnegative(s)
     if s.size > 1 and np.any(np.diff(s) > 0):
         raise NotSorted("sigma must be sorted descending")
     d1, d2 = dims if dims is not None else (s.size, s.size)
@@ -213,12 +217,12 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
             f"spectrum of length {s.size} does not fit dims ({d1}, {d2})"
         )
 
+    rank = _support_rank(s, rank_tol)
+    support = s[:rank]
     smax = float(s[0]) if s.size else 0.0
-    support = s[s > rank_tol * smax]
-    rank = int(support.size)
 
     clusters: list[tuple[float, int]] = []
-    gap_cut = degeneracy_tol * smax
+    gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * smax
     start = 0
     for k in range(1, rank + 1):
         if k == rank or (support[k - 1] - support[k]) > gap_cut:
@@ -230,8 +234,8 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     )
 
 
-def random_state_with_spectrum(sigma, d1: int, d2: int, rng: np.random.Generator,
-                               norm_tol: float = DEFAULT_NORM_TOL) -> BipartiteState:
+def random_state_with_spectrum(sigma, d1: int, d2: int,
+                               rng: np.random.Generator) -> BipartiteState:
     """Haar-random state with the prescribed singular spectrum.
 
     Builds ``psi = s1.T @ rect_diag(sigma) @ s2`` from independent Haar
@@ -243,12 +247,11 @@ def random_state_with_spectrum(sigma, d1: int, d2: int, rng: np.random.Generator
         raise BadSpectrum(f"sigma must be a non-empty vector, got shape {s.shape}")
     if s.size > min(d1, d2):
         raise BadSpectrum(f"spectrum of length {s.size} does not fit a {d1}x{d2} state")
-    if np.any(s < 0):
-        raise BadSpectrum("singular values must be non-negative")
+    _check_finite_nonnegative(s)
     total = float(np.sum(s**2))
-    if abs(total - 1.0) > norm_tol:
+    if abs(total - 1.0) > DEFAULT_NORM_TOL:
         raise BadSpectrum(f"squared spectrum sums to {total!r}, expected 1")
     s1 = haar_unitary(d1, rng)
     s2 = haar_unitary(d2, rng)
     psi = s1.T @ rect_diag(s, d1, d2) @ s2
-    return state_from_matrix(psi, norm_tol=norm_tol)
+    return state_from_matrix(psi)

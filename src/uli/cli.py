@@ -12,8 +12,6 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 
@@ -24,11 +22,13 @@ from .config import (
     DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
+    check_tolerance,
     default_decision_tol,
 )
 from .errors import ToolkitError
 from .io import (
     _matrix_payload,
+    dump_json,
     read_state_file,
     read_unitary_file,
     write_state_file,
@@ -70,10 +70,10 @@ def _positive_int(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
-    return value
+    try:
+        return check_tolerance(text, "tolerance")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(parser, *, tol=False, structure=False, normalize=False,
@@ -154,7 +154,7 @@ def _analysis_payload(state, structure, gdim, odim) -> dict:
         "d1": state.d1,
         "d2": state.d2,
         "input_norm": state.input_norm,
-        "sigma": [float(s) for s in sch.sigma],
+        "sigma": sch.sigma.tolist(),
         "rank": spectrum.rank,
         "clusters": [{"value": v, "multiplicity": m} for v, m in spectrum.clusters],
         "r_counts": {str(k): v for k, v in spectrum.r_counts.items()},
@@ -214,8 +214,7 @@ def cmd_analyze(args) -> int:
     agree = payload["oracle_agreement"]
     out = sys.stdout if agree else sys.stderr
     if args.format == "json":
-        json.dump(payload, out, separators=(", ", ": "))
-        out.write("\n")
+        dump_json(payload, out)
     else:
         _print_analysis_text(payload, structure, out)
     if not agree:
@@ -266,8 +265,7 @@ def cmd_verify(args) -> int:
             "unitarity_correction_u1": corr1,
             "unitarity_correction_u2": corr2,
         }
-        json.dump(payload, sys.stdout, separators=(", ", ": "))
-        sys.stdout.write("\n")
+        dump_json(payload, sys.stdout)
     else:
         print(f"invariance residual: {check.residual:.6e}")
         print(f"commutant residual side 1: {comm.residual1:.6e}")
@@ -311,7 +309,7 @@ def cmd_gen(args) -> int:
             print("error: kind=spectrum requires --spectrum", file=sys.stderr)
             return EXIT_USAGE
         sigma = np.asarray(sorted(args.spectrum, reverse=True), dtype=float)
-        state = random_state_with_spectrum(sigma[sigma > 0], d1, d2, rng)
+        state = random_state_with_spectrum(sigma[sigma != 0], d1, d2, rng)
     write_state_file(args.out, state)
     print(f"wrote {d1}x{d2} state to {args.out}")
     return EXIT_OK

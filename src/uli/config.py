@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 #: Accepted deviation of the Hilbert-Schmidt norm from one when validating states.
 DEFAULT_NORM_TOL = 1e-10
@@ -34,14 +33,12 @@ KRON_ENTRY_CAP = 2**20
 TOL_ENV_VAR = "ULI_DEFAULT_TOL"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of the tunable thresholds, mainly for CLI plumbing."""
-
-    norm: float = DEFAULT_NORM_TOL
-    rank: float = DEFAULT_RANK_TOL
-    degeneracy: float = DEFAULT_DEGENERACY_TOL
-    decision: float = DEFAULT_DECISION_TOL
+def check_tolerance(value, name: str) -> float:
+    """Return ``value`` as a float; raise ValueError unless finite and non-negative."""
+    tol = float(value)
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+    return tol
 
 
 def default_decision_tol() -> float:
@@ -52,7 +49,4 @@ def default_decision_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
         return DEFAULT_DECISION_TOL
-    value = float(raw)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{TOL_ENV_VAR} must be a finite non-negative number, got {raw!r}")
-    return value
+    return check_tolerance(raw, TOL_ENV_VAR)

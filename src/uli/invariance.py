@@ -34,10 +34,11 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
     UNITARY_TOL,
+    check_tolerance,
 )
-from .errors import DimensionMismatch, NotUnitary
+from .errors import NotUnitary
 from .matkernel import (
-    as_complex_matrix,
+    as_square_matrix,
     haar_unitary,
     real_nullspace_dimension,
     unitarity_defect,
@@ -172,23 +173,15 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
 
 
-def _check_pair_dims(pair: UnitaryPair, state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    u1 = as_complex_matrix(pair.u1, "u1")
-    u2 = as_complex_matrix(pair.u2, "u2")
-    if u1.shape != (state.d1, state.d1):
-        raise DimensionMismatch(f"u1 must be {state.d1}x{state.d1}, got {u1.shape}")
-    if u2.shape != (state.d2, state.d2):
-        raise DimensionMismatch(f"u2 must be {state.d2}x{state.d2}, got {u2.shape}")
-    return u1, u2
-
-
 def is_invariant(pair: UnitaryPair, state: BipartiteState,
                  tol: float = DEFAULT_DECISION_TOL) -> InvarianceCheck:
     """Decide ``u1 @ psi @ u2.T == psi`` by the max-entry residual.
 
     Strict equality is required, not equality up to a global phase.
     """
-    u1, u2 = _check_pair_dims(pair, state)
+    tol = check_tolerance(tol, "tol")
+    u1 = as_square_matrix(pair.u1, "u1", state.d1)
+    u2 = as_square_matrix(pair.u2, "u2", state.d2)
     residual = float(np.max(np.abs(u1 @ state.psi @ u2.T - state.psi)))
     return InvarianceCheck(invariant=residual <= tol, residual=residual)
 
@@ -200,7 +193,9 @@ def commutant_check(pair: UnitaryPair, state: BipartiteState,
     Vanishing commutators are necessary for invariance but not sufficient:
     a maximally mixed reduction commutes with every unitary.
     """
-    u1, u2 = _check_pair_dims(pair, state)
+    tol = check_tolerance(tol, "tol")
+    u1 = as_square_matrix(pair.u1, "u1", state.d1)
+    u2 = as_square_matrix(pair.u2, "u2", state.d2)
     rho1 = partial_trace_2(state)
     rho2 = partial_trace_1(state)
     res1 = float(np.max(np.abs(u1 @ rho1 - rho1 @ u1)))
@@ -220,9 +215,8 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
     output deterministic). Returns ``NoSolution`` with the off-block mass when
     ``r1`` leaks outside the allowed pattern.
     """
-    m1 = as_complex_matrix(u1, "u1")
-    if m1.shape != (state.d1, state.d1):
-        raise DimensionMismatch(f"u1 must be {state.d1}x{state.d1}, got {m1.shape}")
+    tol = check_tolerance(tol, "tol")
+    m1 = as_square_matrix(u1, "u1", state.d1)
     defect = unitarity_defect(m1)
     if defect > UNITARY_TOL:
         raise NotUnitary(f"u1 deviates from unitarity by {defect:.3e}")

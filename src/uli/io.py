@@ -15,16 +15,13 @@ import sys
 import numpy as np
 
 from .bipartite import BipartiteState, state_from_matrix
-from .config import DEFAULT_NORM_TOL, UNITARY_TOL
+from .config import UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
 from .matkernel import as_complex_matrix, unitarity_defect
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
-    return {
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarray:
@@ -41,11 +38,16 @@ def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarr
     return as_complex_matrix(re + 1j * im, what)
 
 
+def dump_json(obj, fh) -> None:
+    """Write ``obj`` as one line of JSON; identical content yields identical bytes."""
+    # json.dumps takes the C encoder, json.dump the pure-Python one
+    fh.write(json.dumps(obj, separators=(", ", ": ")))
+    fh.write("\n")
+
+
 def _dump(obj: dict, path: str) -> None:
-    # compact and key-ordered: identical content yields identical bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(", ", ": "))
-        fh.write("\n")
+        dump_json(obj, fh)
 
 
 def _load(source: str) -> dict:
@@ -65,8 +67,7 @@ def write_state_file(path: str, state: BipartiteState) -> None:
     _dump(obj, path)
 
 
-def read_state_file(source: str, *, normalize: bool = False,
-                    norm_tol: float = DEFAULT_NORM_TOL) -> BipartiteState:
+def read_state_file(source: str, *, normalize: bool = False) -> BipartiteState:
     """Parse a state file (or stdin for ``-``), validating normalization."""
     obj = _load(source)
     for key in ("d1", "d2"):
@@ -76,7 +77,7 @@ def read_state_file(source: str, *, normalize: bool = False,
     if d1 < 1 or d2 < 1:
         raise ValueError(f"dimensions must be positive, got ({d1}, {d2})")
     psi = _matrix_from_payload(obj, d1, d2, "state")
-    return state_from_matrix(psi, normalize=normalize, norm_tol=norm_tol)
+    return state_from_matrix(psi, normalize=normalize)
 
 
 def write_unitary_file(path: str, u: np.ndarray) -> None:

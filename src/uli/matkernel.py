@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DECISION_TOL, KRON_ENTRY_CAP
+from .config import DEFAULT_DECISION_TOL, KRON_ENTRY_CAP, check_tolerance
 from .errors import ConvergenceFailure, DimensionMismatch, DimensionOverflow
 
 
@@ -26,6 +26,14 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def as_square_matrix(a, name: str, n: int) -> np.ndarray:
+    """``as_complex_matrix``, raising DimensionMismatch unless the shape is n x n."""
+    m = as_complex_matrix(a, name)
+    if m.shape != (n, n):
+        raise DimensionMismatch(f"{name} must be {n}x{n}, got {m.shape}")
     return m
 
 
@@ -137,6 +145,7 @@ def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:
     of small singular values keeps wide systems (more unknowns than equations)
     correct.
     """
+    tol = check_tolerance(tol, "tol")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 2 or c.size == 0:
         raise ValueError("coeffs must be a non-empty 2-d real array")
