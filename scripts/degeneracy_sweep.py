@@ -4,10 +4,13 @@
 A state with two slightly different Schmidt coefficients only admits opposite
 phase pairs (dimension 2), while exact degeneracy opens up the full conjugate
 block (dimension 4). The structure is genuinely discontinuous in the gap, so
-the reported dimension flips where the gap crosses the clustering tolerance,
-and the nullspace oracle flips where it crosses the rank-decision tolerance.
-Rows where the two disagree are exactly the fragile inputs the analyze
-command flags with exit code 3.
+the reported dimension flips where the gap crosses the clustering tolerance.
+The oracle decides each pair of singular values on its own: the pair's
+value |s1 - s2|/sqrt2 counts toward the rank while it is at least the
+decision tolerance times the largest value sqrt2*s1, so the oracle flips
+where the relative gap crosses twice the decision tolerance. Rows where the
+two disagree are exactly the fragile inputs the analyze command flags with
+exit code 3.
 """
 
 import argparse

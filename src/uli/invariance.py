@@ -10,8 +10,8 @@ original basis uses ``u_j = s_j.T @ r_j @ s_j.conj()``.
 
 The group's real dimension under this parameterization is the sum of squared
 cluster multiplicities plus the squared null dimensions; it is cross-checked
-against an independent oracle that linearizes the invariance condition at the
-identity and counts nullspace dimensions.
+by an oracle that linearizes the invariance condition at the identity and
+shares only the singular values of psi with the structure path.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .errors import NotUnitary
 from .matkernel import (
     as_square_matrix,
     haar_unitary,
-    real_nullspace_dimension,
+    numerical_rank,
+    singular_values,
     unitarity_defect,
 )
 
@@ -243,40 +244,29 @@ def group_dimension(structure: InvarianceStructure) -> int:
     return sum(block.size**2 for block in structure.blocks) + n1**2 + n2**2
 
 
-def _anti_hermitian_basis(n: int) -> np.ndarray:
-    """Real basis of the n x n anti-Hermitian matrices, stacked in a fixed order.
-
-    The n imaginary diagonal units come first, then for each j < k in row-major
-    order the antisymmetric real and the symmetric imaginary off-diagonal pair.
-    """
-    basis = np.zeros((n * n, n, n), dtype=np.complex128)
-    diag = np.arange(n)
-    basis[diag, diag, diag] = 1j
-    j, k = np.triu_indices(n, 1)
-    real = n + 2 * np.arange(j.size)
-    basis[real, j, k] = 1.0
-    basis[real, k, j] = -1.0
-    basis[real + 1, j, k] = 1j
-    basis[real + 1, k, j] = 1j
-    return basis
+def _linearized_spectrum(sigma: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """The 2*d1*d2 singular values of the oracle's map, unsorted; see ``lie_algebra_dimension``."""
+    m = sigma.size
+    i, j = np.triu_indices(m, 1)
+    pairs = np.concatenate([sigma[i] + sigma[j], np.abs(sigma[i] - sigma[j])]) / np.sqrt(2.0)
+    return np.concatenate([np.repeat(pairs, 2), np.sqrt(2.0) * sigma, np.zeros(m),
+                           np.repeat(sigma / np.sqrt(2.0), 2 * (d1 + d2 - 2 * m))])
 
 
 def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_TOL) -> int:
     """Stabilizer dimension from linearizing the invariance condition at the identity.
 
-    Anti-Hermitian generators (x1, x2) of invariant one-parameter groups
-    satisfy ``x1 @ psi + psi @ x2.T == 0``. Anti-Hermiticity is a real-linear
-    constraint, so the system is assembled over the d1^2 + d2^2 real
-    coordinates of (x1, x2) with real and imaginary parts stacked as separate
-    equations, and the solution-space dimension is its nullspace dimension.
-    This count is independent of the block bookkeeping and serves as its
-    oracle.
+    Generators (x1, x2) of invariant one-parameter groups solve
+    ``L(x1, x2) = x1 @ psi + psi @ x2.T == 0`` over anti-Hermitian matrices.
+    In orthonormal real coordinates rotated into the Schmidt basis, L has the
+    singular values (s_i + s_j)/sqrt2 and |s_i - s_j|/sqrt2 twice per pair
+    i < j of the m singular values s of psi, and per value sqrt2*s_i, a zero
+    and s_i/sqrt2 2*(d1 + d2 - 2m) times; the dimension is d1^2 + d2^2 minus
+    their ``numerical_rank``. Only LAPACK's values s are shared with the
+    structure path: a values-only SVD, a cutoff per pair, no rank cutoff or
+    clustering. Against a basis whose off-diagonal elements have norm sqrt2,
+    a decision can differ only for a value within a factor of 2 of the cutoff.
     """
-    psi = state.psi
-    products = np.concatenate([
-        _anti_hermitian_basis(state.d1) @ psi,
-        psi @ _anti_hermitian_basis(state.d2).transpose(0, 2, 1),
-    ])
-    complex_system = products.reshape(-1, psi.size).T
-    system = np.vstack([complex_system.real, complex_system.imag])
-    return real_nullspace_dimension(system, tol=tol)
+    tol = check_tolerance(tol, "tol")
+    spectrum = _linearized_spectrum(singular_values(state.psi), state.d1, state.d2)
+    return state.d1**2 + state.d2**2 - numerical_rank(spectrum, tol)

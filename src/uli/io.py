@@ -38,6 +38,16 @@ def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarr
     return as_complex_matrix(re + 1j * im, what)
 
 
+def _dimension(obj: dict, key: str, what: str) -> int:
+    """The positive JSON integer under ``key``; floats, strings and bools are refused."""
+    if key not in obj:
+        raise ValueError(f"{what} file is missing the '{key}' field")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"'{key}' must be a positive JSON integer, got {value!r}")
+    return value
+
+
 def dump_json(obj, fh) -> None:
     """Write ``obj`` as one line of JSON; identical content yields identical bytes."""
     # json.dumps takes the C encoder, json.dump the pure-Python one
@@ -70,12 +80,7 @@ def write_state_file(path: str, state: BipartiteState) -> None:
 def read_state_file(source: str, *, normalize: bool = False) -> BipartiteState:
     """Parse a state file (or stdin for ``-``), validating normalization."""
     obj = _load(source)
-    for key in ("d1", "d2"):
-        if key not in obj:
-            raise ValueError(f"state file is missing the '{key}' field")
-    d1, d2 = int(obj["d1"]), int(obj["d2"])
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"dimensions must be positive, got ({d1}, {d2})")
+    d1, d2 = _dimension(obj, "d1", "state"), _dimension(obj, "d2", "state")
     psi = _matrix_from_payload(obj, d1, d2, "state")
     return state_from_matrix(psi, normalize=normalize)
 
@@ -95,11 +100,7 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
     the max-entry size of the correction returned alongside it.
     """
     obj = _load(source)
-    if "n" not in obj:
-        raise ValueError("unitary file is missing the 'n' field")
-    n = int(obj["n"])
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    n = _dimension(obj, "n", "unitary")
     m = _matrix_from_payload(obj, n, n, "unitary")
     defect = unitarity_defect(m)
     if defect <= UNITARY_TOL:

@@ -136,13 +136,27 @@ def kron(a, b, *, entry_cap: int = KRON_ENTRY_CAP) -> np.ndarray:
     return np.kron(ma, mb)
 
 
+def singular_values(m) -> np.ndarray:
+    """Singular values of a matrix, descending, from a values-only LAPACK SVD."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+
+
+def numerical_rank(sigma: np.ndarray, tol: float) -> int:
+    """Count of ``sigma`` at or above ``tol`` times its largest value (``tol`` if all are 0)."""
+    smax = float(np.max(sigma))
+    cutoff = tol * smax if smax > 0 else tol
+    return int(np.count_nonzero(sigma >= cutoff))
+
+
 def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:
     """Dimension of the nullspace of a real coefficient matrix.
 
-    Rank counts singular values at or above ``tol`` times the largest one
-    (absolute ``tol`` when the matrix is zero); the nullspace dimension is the
-    column count minus the rank. Using the column count rather than the number
-    of small singular values keeps wide systems (more unknowns than equations)
+    The nullspace dimension is the column count minus the ``numerical_rank``
+    of the singular values. Using the column count rather than the number of
+    small singular values keeps wide systems (more unknowns than equations)
     correct.
     """
     tol = check_tolerance(tol, "tol")
@@ -151,11 +165,4 @@ def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:
         raise ValueError("coeffs must be a non-empty 2-d real array")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs contains non-finite entries")
-    try:
-        sigma = np.linalg.svd(c, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    smax = float(sigma[0]) if sigma.size else 0.0
-    cutoff = tol * smax if smax > 0 else tol
-    rank = int(np.count_nonzero(sigma >= cutoff))
-    return c.shape[1] - rank
+    return c.shape[1] - numerical_rank(singular_values(c), tol)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_complex
 from uli import NotNormalized, NotUnitary, haar_unitary, state_from_matrix, unitarity_defect
+from uli.cli import main
 from uli.io import read_state_file, read_unitary_file, write_state_file, write_unitary_file
 
 
@@ -89,3 +90,43 @@ def test_deterministic_bytes(tmp_path):
     write_state_file(str(p1), state)
     write_state_file(str(p2), state)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+NON_INTEGERS = [2.7, True, "3", 3.0]
+
+
+def _state_obj(key, value):
+    # the matrix has the shape int(value) gives, so only the type check can refuse it
+    dims = {"d1": 2, "d2": 2, key: int(float(value))}
+    re = np.zeros((dims["d1"], dims["d2"]))
+    re[0, 0] = 1.0
+    return {**dims, key: value, "re": re.tolist(), "im": np.zeros_like(re).tolist()}
+
+
+@pytest.mark.parametrize("key", ["d1", "d2"])
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_state_dimension_must_be_a_json_integer(tmp_path, key, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_state_obj(key, value)))
+    with pytest.raises(ValueError, match="JSON integer"):
+        read_state_file(str(path))
+    assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_unitary_dimension_must_be_a_json_integer(tmp_path, value):
+    n = int(float(value))
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"n": value, "re": np.eye(n).tolist(), "im": np.zeros((n, n)).tolist()}))
+    with pytest.raises(ValueError, match="JSON integer"):
+        read_unitary_file(str(path))
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 4), (4, 1), (3, 5)])
+def test_written_files_read_back(tmp_path, d1, d2):
+    psi = np.zeros((d1, d2), dtype=complex)
+    psi[0, 0] = 1.0
+    write_state_file(str(tmp_path / "s.json"), state_from_matrix(psi))
+    assert read_state_file(str(tmp_path / "s.json")).psi.shape == (d1, d2)
+    write_unitary_file(str(tmp_path / "u.json"), np.eye(d2))
+    assert read_unitary_file(str(tmp_path / "u.json"))[0].shape == (d2, d2)
