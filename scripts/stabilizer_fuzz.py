@@ -3,8 +3,10 @@
 
 For each state: sample an invariant pair and record the worst invariance
 residual, and compare the block-counting group dimension against the
-lie-algebra nullspace oracle. Exits 1 on any oracle mismatch or when the
-worst residual exceeds RESIDUAL_LIMIT, so it can gate CI.
+lie-algebra nullspace oracle. Each sampled u1 is also undone on the state,
+whose decomposition is cached by then, and on a fresh copy of it; the two
+answers must be bit-identical. Exits 1 on any oracle or undo mismatch or when
+the worst residual exceeds RESIDUAL_LIMIT, so it can gate CI.
 """
 
 import argparse
@@ -14,12 +16,15 @@ from collections import Counter
 import numpy as np
 
 from uli import (
+    NoSolution,
     group_dimension,
     invariance_structure,
     is_invariant,
     lie_algebra_dimension,
     random_state_with_spectrum,
     sample_invariant_pair,
+    state_from_matrix,
+    undo_operator,
 )
 
 RESIDUAL_LIMIT = 1e-10
@@ -39,6 +44,13 @@ def clustered_spectrum(rng, rank):
     return raw / np.sqrt(np.sum(raw**2))
 
 
+def same_undo(a, b):
+    """Whether two ``undo_operator`` results are bit-identical."""
+    if isinstance(a, NoSolution) or isinstance(b, NoSolution):
+        return a == b
+    return np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--states", type=int, default=500)
@@ -50,6 +62,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     worst_residual = 0.0
     mismatches = 0
+    undo_mismatches = 0
     dim_histogram = Counter()
 
     for _ in range(args.states):
@@ -68,6 +81,10 @@ def main():
         for _ in range(args.pairs_per_state):
             pair = sample_invariant_pair(structure, rng)
             worst_residual = max(worst_residual, is_invariant(pair, state).residual)
+            if not same_undo(undo_operator(pair.u1, state),
+                             undo_operator(pair.u1, state_from_matrix(state.psi))):
+                undo_mismatches += 1
+                print(f"undo mismatch on a reused state at d1={d1} d2={d2} rank={rank}")
 
     print(f"states checked:        {args.states}")
     print(f"pairs per state:       {args.pairs_per_state}")
@@ -76,7 +93,7 @@ def main():
     print("group dimension histogram:")
     for dim in sorted(dim_histogram):
         print(f"  dim {dim:3d}: {dim_histogram[dim]}")
-    return 1 if mismatches or worst_residual > RESIDUAL_LIMIT else 0
+    return 1 if mismatches or undo_mismatches or worst_residual > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":

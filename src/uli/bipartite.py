@@ -14,12 +14,13 @@ the Schmidt vectors in the rows of ``s1`` and ``s2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL, check_tolerance
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
-from .matkernel import as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
+from .matkernel import SvdResult, as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,26 @@ class BipartiteState:
     ``psi`` is d1 x d2 complex with unit Hilbert-Schmidt norm. ``input_norm``
     records the norm of the matrix this state was built from, so callers that
     requested rescaling can still see what they passed in.
+
+    The state holds its own read-only copy of ``psi``, so it cannot change
+    after it is built, and it computes the SVD of ``psi`` at most once.
     """
 
     psi: np.ndarray
     input_norm: float = 1.0
+
+    def __post_init__(self) -> None:
+        psi = np.array(self.psi, dtype=np.complex128)
+        psi.setflags(write=False)
+        object.__setattr__(self, "psi", psi)
+
+    @cached_property
+    def _svd(self) -> SvdResult:
+        """Tolerance-free SVD of ``psi``, read-only; cutoffs apply per call on top of it."""
+        res = svd(self.psi)
+        for a in (res.u, res.sigma, res.v):
+            a.setflags(write=False)
+        return res
 
     @property
     def d1(self) -> int:
@@ -153,9 +170,10 @@ def schmidt_decompose(state: BipartiteState, rank_tol: float = DEFAULT_RANK_TOL)
 
     The factors are repackaged as ``s1 = u.T`` and ``s2 = v.conj().T`` so that
     ``psi = s1.T @ Sigma @ s2`` and the Schmidt vectors are rows of the two
-    unitaries.
+    unitaries. The SVD is the one cached on ``state``; only the rank cutoff
+    is recomputed.
     """
-    res = svd(state.psi)
+    res = state._svd
     rank = _support_rank(res.sigma, rank_tol)
     return SchmidtForm(s1=res.u.T, s2=res.v.conj().T, sigma=res.sigma, rank=rank)
 
@@ -221,17 +239,11 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     support = s[:rank]
     smax = float(s[0]) if s.size else 0.0
 
-    clusters: list[tuple[float, int]] = []
     gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * smax
-    start = 0
-    for k in range(1, rank + 1):
-        if k == rank or (support[k - 1] - support[k]) > gap_cut:
-            members = support[start:k]
-            clusters.append((float(members.mean()), k - start))
-            start = k
-    return DegeneracySpectrum(
-        clusters=tuple(clusters), rank=rank, null_dims=(d1 - rank, d2 - rank)
-    )
+    cuts = np.flatnonzero(support[:-1] - support[1:] > gap_cut) + 1
+    edges = [0, *cuts.tolist(), rank] if rank else []
+    clusters = tuple((float(support[a:b].mean()), b - a) for a, b in zip(edges, edges[1:]))
+    return DegeneracySpectrum(clusters=clusters, rank=rank, null_dims=(d1 - rank, d2 - rank))
 
 
 def random_state_with_spectrum(sigma, d1: int, d2: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -28,8 +29,15 @@ def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarr
     for key in ("re", "im"):
         if key not in obj:
             raise ValueError(f"{what} is missing the '{key}' field")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+        # type checks over the whole list run in C; a bool is not a JSON number here
+        if not (type(obj[key]) is list and set(map(type, obj[key])) <= {list}
+                and set(map(type, chain.from_iterable(obj[key]))) <= {int, float}):
+            raise ValueError(f"{what} '{key}' must be a list of rows of JSON numbers")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the double range
+        raise ValueError(f"{what} entry does not fit a double: {exc}") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise DimensionMismatch(
             f"{what} matrices must have shape ({rows}, {cols}), "

@@ -277,3 +277,45 @@ class TestRandomStateWithSpectrum:
             random_state_with_spectrum(np.array([1.0, 1.0]), 2, 2, rng)
         with pytest.raises(BadSpectrum):
             random_state_with_spectrum(np.array([0.5, 0.5, 0.5, 0.5]), 2, 3, rng)
+
+
+def _clusters_by_loop(s, rank_tol, degeneracy_tol):
+    """Reference: the per-value chaining loop ``cluster_spectrum`` replaced."""
+    smax = float(s[0]) if s.size else 0.0
+    rank = int(np.count_nonzero(s > rank_tol * smax))
+    support = s[:rank]
+    gap_cut = degeneracy_tol * smax
+    clusters, start = [], 0
+    for k in range(1, rank + 1):
+        if k == rank or (support[k - 1] - support[k]) > gap_cut:
+            clusters.append((float(support[start:k].mean()), k - start))
+            start = k
+    return tuple(clusters)
+
+
+def _reference_spectra():
+    rng = np.random.default_rng(17)
+    yield np.array([]), 1e-10, 1e-8
+    yield np.array([0.0, 0.0]), 1e-10, 1e-8
+    yield np.array([0.8, 0.6]), 1.0, 1e-8  # rank 0 by the cutoff
+    yield np.array([1.0]), 1e-10, 1e-8
+    # gaps exactly at the cut stay chained; one ulp above splits
+    step = 2.0**-20
+    yield np.array([1.0, 1.0 - step, 1.0 - 2 * step, 0.5]), 1e-10, step
+    yield np.array([1.0, 1.0 - step, 1.0 - 2 * step - 2.0**-52, 0.5]), 1e-10, step
+    for _ in range(200):
+        rank = int(rng.integers(1, 40))
+        sigma, _ = clustered_spectrum(rng, rank)
+        jitter = rng.uniform(0, 3e-8, sigma.size) * rng.integers(0, 2, sigma.size)
+        sigma = np.sort(np.abs(sigma - jitter))[::-1]
+        tail = np.zeros(int(rng.integers(0, 4)))
+        yield np.concatenate([sigma, tail]), 10.0 ** rng.integers(-12, -2), 10.0 ** rng.integers(-10, -6)
+
+
+def test_cluster_spectrum_matches_the_loop_bit_for_bit():
+    for s, rank_tol, degeneracy_tol in _reference_spectra():
+        got = cluster_spectrum(s, rank_tol=rank_tol, degeneracy_tol=degeneracy_tol,
+                               dims=(s.size, s.size))
+        want = _clusters_by_loop(s, rank_tol, degeneracy_tol)
+        assert [(v.hex(), m, type(m)) for v, m in got.clusters] == \
+            [(v.hex(), m, int) for v, m in want]

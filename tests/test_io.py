@@ -130,3 +130,54 @@ def test_written_files_read_back(tmp_path, d1, d2):
     assert read_state_file(str(tmp_path / "s.json")).psi.shape == (d1, d2)
     write_unitary_file(str(tmp_path / "u.json"), np.eye(d2))
     assert read_unitary_file(str(tmp_path / "u.json"))[0].shape == (d2, d2)
+
+
+BAD_ENTRIES = [
+    [["0.6", 0.8]],  # string
+    [[True, 0.8]],  # bool
+    [[0.6, False]],
+    [[None, 0.8]],  # null
+    [[[0.6], 0.8]],  # nested list
+]
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_state_entries_must_be_json_numbers(tmp_path, key, bad):
+    obj = {"d1": 1, "d2": 2, "re": [[0.6, 0.8]], "im": [[0, 0]]}
+    obj[key] = bad
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="JSON numbers"):
+        read_state_file(str(path), normalize=True)
+    assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_unitary_entries_must_be_json_numbers(tmp_path, key, bad):
+    obj = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    obj[key] = bad + [[0, 1]]
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="JSON numbers"):
+        read_unitary_file(str(path), lenient=True)
+
+
+def test_written_negative_zero_entries_read_back(tmp_path):
+    psi = np.array([[-0.0 - 0.6j, 0.8 - 0.0j]])
+    state = state_from_matrix(psi)
+    write_state_file(str(tmp_path / "s.json"), state)
+    assert "-0.0" in (tmp_path / "s.json").read_text()
+    assert read_state_file(str(tmp_path / "s.json")).psi.tobytes() == state.psi.tobytes()
+    u = -np.eye(2) + 0.0j
+    write_unitary_file(str(tmp_path / "u.json"), u)
+    assert read_unitary_file(str(tmp_path / "u.json"))[0].tobytes() == u.tobytes()
+
+
+def test_integer_entry_beyond_double_range_is_an_input_error(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"d1": 1, "d2": 2, "re": [[1' + "0" * 400 + ', 0]], "im": [[0, 0]]}')
+    with pytest.raises(ValueError, match="does not fit a double"):
+        read_state_file(str(path), normalize=True)
+    assert main(["analyze", str(path)]) == 2

@@ -1,0 +1,145 @@
+"""A state holds a read-only copy of psi and decomposes it at most once."""
+
+import numpy as np
+import pytest
+
+from conftest import random_complex
+from uli import (
+    NoSolution,
+    UnitaryPair,
+    apply_local,
+    haar_unitary,
+    invariance_structure,
+    random_state_with_spectrum,
+    schmidt_decompose,
+    state_from_matrix,
+    svd,
+    undo_operator,
+)
+from uli import bipartite
+
+LOOSE, TIGHT = 1e-8, 1e-10
+
+
+def random_state(rng, d1, d2):
+    m = random_complex(rng, d1, d2)
+    return state_from_matrix(m / np.linalg.norm(m))
+
+
+def fragile_state(rng, d1=5, d2=4):
+    """Leading pair 1e-9 apart (merged at LOOSE, split at TIGHT) and a value 1e-9 of the top."""
+    raw = np.array([1.0, 1.0 - 1e-9, 0.5, 1e-9])
+    return random_state_with_spectrum(raw / np.linalg.norm(raw), d1, d2, rng)
+
+
+def swap_leading_schmidt_vectors(state):
+    """u1 exchanging the first two Schmidt vectors: solvable only if they share a cluster."""
+    s1 = schmidt_decompose(state).s1
+    r1 = np.eye(state.d1, dtype=complex)
+    r1[:2, :2] = [[0, 1], [1, 0]]
+    return s1.T @ r1 @ s1.conj()
+
+
+def assert_same_structure(a, b):
+    assert a.spectrum == b.spectrum
+    assert a.blocks == b.blocks
+    assert a.schmidt.rank == b.schmidt.rank
+    for x, y in ((a.schmidt.s1, b.schmidt.s1), (a.schmidt.s2, b.schmidt.s2),
+                 (a.schmidt.sigma, b.schmidt.sigma)):
+        assert x.tobytes() == y.tobytes()
+
+
+def assert_same_undo(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, NoSolution):
+        assert a == b
+    else:
+        assert a.u1.tobytes() == b.u1.tobytes()
+        assert a.u2.tobytes() == b.u2.tobytes()
+
+
+def test_state_does_not_alias_the_callers_array():
+    a = np.eye(2, dtype=complex) / np.sqrt(2)
+    state = state_from_matrix(a)
+    a[0, 1] = 0.5
+    np.testing.assert_array_equal(state.psi, np.eye(2) / np.sqrt(2))
+
+
+def test_direct_construction_copies_too():
+    a = np.zeros((2, 3), dtype=complex)
+    a[0, 0] = 1.0
+    state = bipartite.BipartiteState(psi=a)
+    a[0, 0] = 0.0
+    assert state.psi[0, 0] == 1.0
+    assert state.psi.dtype == np.complex128
+
+
+def test_psi_and_schmidt_arrays_are_read_only():
+    state = random_state(np.random.default_rng(1), 3, 4)
+    schmidt = schmidt_decompose(state)
+    for a in (state.psi, schmidt.s1, schmidt.sigma):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_derived_states_are_read_only():
+    rng = np.random.default_rng(2)
+    state = random_state(rng, 3, 2)
+    moved = apply_local(haar_unitary(3, rng), haar_unitary(2, rng), state)
+    drawn = random_state_with_spectrum([0.8, 0.6], 3, 2, rng)
+    for s in (moved, drawn):
+        with pytest.raises(ValueError):
+            s.psi[0, 0] = 0
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 4), (4, 1), (3, 5), (16, 16)])
+def test_cached_decomposition_equals_a_fresh_svd(d1, d2):
+    state = random_state(np.random.default_rng(d1 * 31 + d2), d1, d2)
+    schmidt_decompose(state)  # fill the cache first
+    form = schmidt_decompose(state)
+    fresh = svd(state.psi.copy())
+    assert form.s1.tobytes() == fresh.u.T.tobytes()
+    assert form.s2.tobytes() == fresh.v.conj().T.tobytes()
+    assert form.sigma.tobytes() == fresh.sigma.tobytes()
+
+
+def test_one_svd_per_state_across_calls_and_tolerances(monkeypatch):
+    calls = []
+    real_svd = bipartite.svd
+    monkeypatch.setattr(bipartite, "svd", lambda m: calls.append(m.shape) or real_svd(m))
+    rng = np.random.default_rng(3)
+    state = random_state(rng, 4, 3)
+    u1 = haar_unitary(4, rng)
+    schmidt_decompose(state)
+    invariance_structure(state, degeneracy_tol=TIGHT)
+    undo_operator(u1, state)
+    undo_operator(u1, state, rank_tol=1e-6)
+    assert calls == [(4, 3)]
+
+
+def test_structure_follows_each_calls_tolerances():
+    state = fragile_state(np.random.default_rng(4))
+    settings = [
+        {"rank_tol": TIGHT, "degeneracy_tol": LOOSE},
+        {"rank_tol": TIGHT, "degeneracy_tol": TIGHT},
+        {"rank_tol": LOOSE, "degeneracy_tol": LOOSE},
+        {"rank_tol": TIGHT, "degeneracy_tol": LOOSE},
+    ]
+    seen = set()
+    for kw in settings:
+        got = invariance_structure(state, **kw)
+        assert_same_structure(got, invariance_structure(state_from_matrix(state.psi), **kw))
+        seen.add((len(got.blocks), got.rank))
+    assert seen == {(3, 4), (4, 4), (2, 3)}
+
+
+def test_undo_follows_each_calls_tolerances():
+    state = fragile_state(np.random.default_rng(5))
+    u1 = swap_leading_schmidt_vectors(state)
+    kinds = []
+    for degeneracy_tol in (LOOSE, TIGHT, LOOSE):
+        got = undo_operator(u1, state, degeneracy_tol=degeneracy_tol)
+        assert_same_undo(got, undo_operator(u1, state_from_matrix(state.psi),
+                                            degeneracy_tol=degeneracy_tol))
+        kinds.append(type(got))
+    assert kinds == [UnitaryPair, NoSolution, UnitaryPair]
