@@ -13,7 +13,6 @@ from .bipartite import (
     SchmidtForm,
     apply_local,
     cluster_spectrum,
-    hs_inner,
     matrix_to_vec,
     partial_trace_1,
     partial_trace_2,
@@ -32,7 +31,6 @@ from .errors import (
     BadSpectrum,
     ConvergenceFailure,
     DimensionMismatch,
-    DimensionOverflow,
     NotNormalized,
     NotSorted,
     NotUnitary,
@@ -56,7 +54,6 @@ from .invariance import (
 from .matkernel import (
     SvdResult,
     haar_unitary,
-    kron,
     real_nullspace_dimension,
     rect_diag,
     svd,
@@ -76,7 +73,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "DegeneracySpectrum",
     "DimensionMismatch",
-    "DimensionOverflow",
     "InvarianceCheck",
     "InvarianceStructure",
     "NoSolution",
@@ -93,10 +89,8 @@ __all__ = [
     "commutant_check",
     "group_dimension",
     "haar_unitary",
-    "hs_inner",
     "invariance_structure",
     "is_invariant",
-    "kron",
     "lie_algebra_dimension",
     "matrix_to_vec",
     "partial_trace_1",

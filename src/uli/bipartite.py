@@ -4,7 +4,7 @@ A state ``sum_ij psi_ij |i>|j>`` is stored as its d1 x d2 matrix ``psi``.
 With the row-major vectorization used throughout (subsystem-1 index major),
 local action becomes matrix action::
 
-    vec(a @ psi @ b.T) == kron(a, b) @ vec(psi)
+    vec(a @ psi @ b.T) == np.kron(a, b) @ vec(psi)
 
 partial traces are ``psi @ psi.conj().T`` and ``psi.T @ psi.conj()``, and the
 Schmidt decomposition is the SVD arranged as ``psi = s1.T @ Sigma @ s2`` with
@@ -59,16 +59,14 @@ class BipartiteState:
     def d2(self) -> int:
         return self.psi.shape[1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi))
-
 
 def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     """Validate a coefficient matrix and wrap it as a state.
 
     Non-normalized input is rejected unless ``normalize`` is set, in which
     case it is rescaled and the measured norm recorded; silent rescaling by
-    default would hide caller bugs.
+    default would hide caller bugs. A rescaling that does not land on unit
+    norm (the norm overflowed, or the entries are subnormal) is refused.
     """
     m = as_complex_matrix(psi, "psi")
     norm = float(np.linalg.norm(m))
@@ -78,7 +76,12 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
         raise NotNormalized(norm)
     if norm == 0.0:
         raise NotNormalized(norm, "cannot normalize the zero matrix")
-    return BipartiteState(psi=m / norm, input_norm=norm)
+    scaled = m / norm
+    rescaled = float(np.linalg.norm(scaled))
+    if abs(rescaled - 1.0) > DEFAULT_NORM_TOL:
+        raise NotNormalized(norm, f"cannot normalize: measured norm {norm!r} "
+                                  f"rescales to {rescaled!r}")
+    return BipartiteState(psi=scaled, input_norm=norm)
 
 
 def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False) -> BipartiteState:
@@ -108,15 +111,6 @@ def apply_local(a, b, state: BipartiteState) -> BipartiteState:
     ma = as_square_matrix(a, "a", state.d1)
     mb = as_square_matrix(b, "b", state.d2)
     return BipartiteState(psi=ma @ state.psi @ mb.T)
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``trace(a.conj().T @ b)``, conjugate in ``a``."""
-    ma = as_complex_matrix(a, "a")
-    mb = as_complex_matrix(b, "b")
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes differ: {ma.shape} vs {mb.shape}")
-    return complex(np.vdot(ma, mb))
 
 
 def partial_trace_2(state: BipartiteState) -> np.ndarray:
@@ -150,12 +144,6 @@ class SchmidtForm:
     @property
     def d2(self) -> int:
         return self.s2.shape[0]
-
-    def sigma_matrix(self) -> np.ndarray:
-        return rect_diag(self.sigma, self.d1, self.d2)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.s1.T @ self.sigma_matrix() @ self.s2
 
 
 def _support_rank(sigma: np.ndarray, rank_tol: float) -> int:

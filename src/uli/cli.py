@@ -62,11 +62,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _tolerance(text: str) -> float:
@@ -109,7 +117,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw invariant unitary pairs")
     p.add_argument("state", help="state file path, or - for stdin")
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory for pair files")
     _add_common(p, structure=True, normalize=True)
     p.set_defaults(func=cmd_sample)
@@ -134,7 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d2", type=_positive_int, required=True)
     p.add_argument("--spectrum", type=float, nargs="+", default=None,
                    help="singular values for kind=spectrum (squares must sum to 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

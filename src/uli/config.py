@@ -26,9 +26,6 @@ DEFAULT_DECISION_TOL = 1e-10
 #: Max-entry unitarity defect accepted for unitaries read or passed in.
 UNITARY_TOL = 1e-10
 
-#: Kronecker products with more entries than this are refused.
-KRON_ENTRY_CAP = 2**20
-
 #: Environment variable overriding the default decision tolerance in the CLI.
 TOL_ENV_VAR = "ULI_DEFAULT_TOL"
 

@@ -15,10 +15,6 @@ class DimensionMismatch(ToolkitError):
     """Operands have incompatible shapes."""
 
 
-class DimensionOverflow(ToolkitError):
-    """A product would exceed the configured size cap."""
-
-
 class NotNormalized(ToolkitError):
     """State norm differs from one beyond tolerance; carries the measured norm."""
 

@@ -3,8 +3,8 @@
 Plain ``complex128`` numpy arrays are the universal carrier for states and
 operators; this module wraps the numpy factorizations with the conventions
 the rest of the toolkit relies on: a deterministic SVD phase convention,
-exactly Haar-distributed unitaries, a size-capped Kronecker product, and
-nullspace dimensions of real linear systems.
+exactly Haar-distributed unitaries, and nullspace dimensions of real linear
+systems.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DECISION_TOL, KRON_ENTRY_CAP, check_tolerance
-from .errors import ConvergenceFailure, DimensionMismatch, DimensionOverflow
+from .config import DEFAULT_DECISION_TOL, check_tolerance
+from .errors import ConvergenceFailure, DimensionMismatch
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -65,10 +65,6 @@ class SvdResult:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        rows, cols = self.u.shape[0], self.v.shape[0]
-        return self.u @ rect_diag(self.sigma, rows, cols) @ self.v.conj().T
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -121,19 +117,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     # zero diagonal entries occur with probability zero; keep those phases at 1
     phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
     return q * phase.conj()
-
-
-def kron(a, b, *, entry_cap: int = KRON_ENTRY_CAP) -> np.ndarray:
-    """Kronecker product with ``a`` as the major factor, refused above the cap."""
-    ma = as_complex_matrix(a, "a")
-    mb = as_complex_matrix(b, "b")
-    rows = ma.shape[0] * mb.shape[0]
-    cols = ma.shape[1] * mb.shape[1]
-    if rows * cols > entry_cap:
-        raise DimensionOverflow(
-            f"Kronecker product would hold {rows * cols} entries, cap is {entry_cap}"
-        )
-    return np.kron(ma, mb)
 
 
 def singular_values(m) -> np.ndarray:

@@ -20,7 +20,6 @@ from uli import (
     haar_unitary,
     invariance_structure,
     is_invariant,
-    kron,
     lie_algebra_dimension,
     matrix_to_vec,
     random_state_with_spectrum,
@@ -152,7 +151,7 @@ def test_criterion_5_operator_identities():
             b = random_complex(rng, d2, d2)
 
             direct = matrix_to_vec(apply_local(a, b, state))
-            oracle = kron(a, b) @ matrix_to_vec(state)
+            oracle = np.kron(a, b) @ matrix_to_vec(state)
             assert np.max(np.abs(direct - oracle)) <= 1e-12
 
             vec = matrix_to_vec(state)

@@ -13,12 +13,11 @@ from uli import (
     NotSorted,
     apply_local,
     cluster_spectrum,
-    hs_inner,
-    kron,
     matrix_to_vec,
     partial_trace_1,
     partial_trace_2,
     random_state_with_spectrum,
+    rect_diag,
     schmidt_decompose,
     state_from_matrix,
     svd,
@@ -77,7 +76,16 @@ class TestVecMatrix:
     def test_normalize_flag_records_input_norm(self):
         state = vec_to_matrix(np.array([2.0, 0, 0, 0]), 2, 2, normalize=True)
         assert state.input_norm == pytest.approx(2.0)
-        assert state.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(state.psi) == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-160])
+    def test_normalize_refuses_overflowing_or_subnormal_norm(self, scale):
+        # at 1e200 the norm overflows to inf and the state would rescale to
+        # zero; at 1e-160 the squares are subnormal and it would land off 1
+        m = np.array([[1.0, 0.5], [0.25, 1.0]]) * scale
+        with pytest.raises(NotNormalized, match="cannot normalize"):
+            state_from_matrix(m, normalize=True)
 
 
 class TestApplyLocal:
@@ -98,33 +106,12 @@ class TestApplyLocal:
             a = random_complex(rng, 3, 3)
             b = random_complex(rng, 4, 4)
             direct = matrix_to_vec(apply_local(a, b, state))
-            oracle = kron(a, b) @ matrix_to_vec(state)
+            oracle = np.kron(a, b) @ matrix_to_vec(state)
             assert np.max(np.abs(direct - oracle)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_local(np.eye(3), np.eye(2), bell_state())
-
-
-class TestHsInner:
-    def test_self_overlap_of_unit_state(self):
-        assert hs_inner(np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_operators(self):
-        a = np.array([[1, 0], [0, 0]], dtype=complex)
-        b = np.array([[0, 0], [0, 1]], dtype=complex)
-        assert hs_inner(a, b) == 0
-
-    def test_vectorization_oracle_and_conjugate_symmetry(self):
-        rng = np.random.default_rng(3)
-        a, b = random_complex(rng, 3, 4), random_complex(rng, 3, 4)
-        oracle = np.dot(a.ravel().conj(), b.ravel())
-        assert abs(hs_inner(a, b) - oracle) <= 1e-13
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestPartialTraces:
@@ -186,7 +173,8 @@ class TestSchmidtDecompose:
         rng = np.random.default_rng(7)
         state = random_state(rng, 4, 3)
         form = schmidt_decompose(state)
-        assert np.max(np.abs(form.reconstruct() - state.psi)) <= 1e-12
+        rebuilt = form.s1.T @ rect_diag(form.sigma, 4, 3) @ form.s2
+        assert np.max(np.abs(rebuilt - state.psi)) <= 1e-12
         np.testing.assert_allclose(form.sigma, svd(state.psi).sigma, atol=1e-14)
         assert abs(np.sum(form.sigma**2) - 1.0) <= 1e-12
 

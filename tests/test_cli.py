@@ -73,6 +73,19 @@ class TestAnalyze:
         ))
         assert main(["analyze", str(path), "--normalize"]) == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-160])
+    def test_normalize_refuses_overflowing_or_subnormal_norm(self, tmp_path, capsys, scale):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(
+            {"d1": 2, "d2": 2, "re": [[scale, 0.5 * scale], [0.25 * scale, scale]],
+             "im": [[0, 0], [0, 0]]}
+        ))
+        assert main(["analyze", str(path), "--normalize", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot normalize" in captured.err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().out == ""
@@ -139,6 +152,16 @@ class TestSample:
         code = main(["sample", bell_file, "--count", "0", "--out", str(tmp_path / "x")])
         assert code == 64
         assert capsys.readouterr().out == ""
+
+    def test_negative_seed_is_usage_error(self, bell_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["sample", bell_file, "--seed", "-1", "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be a non-negative integer, got -1" in captured.err
+        assert not out.exists()
+        assert main(["sample", bell_file, "--seed", "0", "--out", str(out)]) == 0
+        assert (out / "pair000.u1.json").exists()
 
 
 class TestVerify:
@@ -259,6 +282,18 @@ class TestGen:
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bell.json"
+        assert main(["gen", "bell", "--d1", "2", "--d2", "2", "--seed", "-3",
+                     "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be a non-negative integer, got -3" in captured.err
+        assert not out.exists()
+        assert main(["gen", "bell", "--d1", "2", "--d2", "2", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -269,6 +304,7 @@ class TestUsage:
 
     def test_stdin_state(self, bell_file, capsys, monkeypatch):
         import io as _io
-        monkeypatch.setattr("sys.stdin", _io.StringIO(open(bell_file).read()))
+        with open(bell_file) as fh:
+            monkeypatch.setattr("sys.stdin", _io.StringIO(fh.read()))
         assert main(["analyze", "-", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 2

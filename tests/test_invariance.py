@@ -14,7 +14,6 @@ from uli import (
     haar_unitary,
     invariance_structure,
     is_invariant,
-    kron,
     lie_algebra_dimension,
     matrix_to_vec,
     random_state_with_spectrum,
@@ -131,6 +130,30 @@ class TestSampleInvariantPair:
         np.testing.assert_array_equal(a.u1, b.u1)
         np.testing.assert_array_equal(a.u2, b.u2)
 
+    def test_mean_kronecker_is_projector_per_cluster(self):
+        # E[w (x) conj(w)] = |Phi><Phi| for Haar w, and independent blocks
+        # (the null blocks included) average to zero. So the mean of
+        # u1 (x) u2 keeps one +1 eigenvector per support cluster, vec(psi)
+        # among them, and every other eigenvalue shrinks like 1/sqrt(n).
+        rng = np.random.default_rng(20)
+        sigma = np.array([np.sqrt(0.4), np.sqrt(0.4), np.sqrt(0.2)])
+        state = random_state_with_spectrum(sigma, 4, 4, rng)
+        structure = invariance_structure(state)
+        assert [m for _, m in structure.spectrum.clusters] == [2, 1]
+        assert structure.null_dims == (1, 1)
+        n = 2000
+        mean = np.zeros((16, 16), dtype=complex)
+        for _ in range(n):
+            pair = sample_invariant_pair(structure, rng)
+            mean += np.kron(pair.u1, pair.u2)
+        mean /= n
+        eig = np.linalg.eigvals(mean)
+        near_one = np.abs(eig - 1.0) <= 1e-12
+        assert np.count_nonzero(near_one) == len(structure.spectrum.clusters)
+        assert np.max(np.abs(eig[~near_one])) <= 5 / np.sqrt(n)
+        vec = matrix_to_vec(state)
+        assert np.max(np.abs(mean @ vec - vec)) <= 1e-12
+
 
 class TestIsInvariant:
     def test_identity_pair(self):
@@ -159,7 +182,7 @@ class TestIsInvariant:
             structure = invariance_structure(state)
             pair = sample_invariant_pair(structure, rng)
             vec = matrix_to_vec(state)
-            oracle = float(np.max(np.abs(kron(pair.u1, pair.u2) @ vec - vec)))
+            oracle = float(np.max(np.abs(np.kron(pair.u1, pair.u2) @ vec - vec)))
             assert abs(is_invariant(pair, state).residual - oracle) <= 1e-13
 
     def test_dimension_mismatch(self):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from uli import (
-    DimensionOverflow,
     haar_unitary,
-    kron,
     real_nullspace_dimension,
     rect_diag,
     svd,
@@ -31,7 +29,8 @@ class TestSvd:
         m = random_complex(rng, 3, 4)
         res = svd(m)
         # oracle: direct multiplication of the factors
-        assert np.max(np.abs(res.reconstruct() - m)) <= 1e-12 * max(1.0, res.sigma[0])
+        rebuilt = res.u @ rect_diag(res.sigma, 3, 4) @ res.v.conj().T
+        assert np.max(np.abs(rebuilt - m)) <= 1e-12 * max(1.0, res.sigma[0])
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 3), (3, 5), (6, 6)])
     def test_factor_unitarity_and_ordering(self, shape):
@@ -126,38 +125,6 @@ class TestHaarUnitary:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             haar_unitary(0, np.random.default_rng(0))
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_product(self):
-        out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(7)
-        a, b, c, d = (random_complex(rng, 2, 2) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(8)
-        a = random_complex(rng, 2, 2)
-        b = random_complex(rng, 3, 3)
-        c = random_complex(rng, 2, 2)
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
-
-    def test_entry_cap(self):
-        with pytest.raises(DimensionOverflow):
-            kron(np.eye(64), np.eye(64), entry_cap=2**20 - 1)
-
-    def test_default_cap_refuses_16m_entries(self):
-        # 4096 x 4096 output exceeds the default cap of 2**20 entries
-        with pytest.raises(DimensionOverflow):
-            kron(np.eye(64), np.eye(64))
 
 
 class TestRectDiag:
