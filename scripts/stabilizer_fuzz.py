@@ -3,10 +3,12 @@
 
 For each state: sample an invariant pair and record the worst invariance
 residual, and compare the block-counting group dimension against the
-lie-algebra nullspace oracle. Each sampled u1 is also undone on the state,
-whose decomposition is cached by then, and on a fresh copy of it; the two
-answers must be bit-identical. Exits 1 on any oracle or undo mismatch or when
-the worst residual exceeds RESIDUAL_LIMIT, so it can gate CI.
+lie-algebra nullspace oracle. Each sampled pair is also checked with
+``is_invariant`` and ``commutant_check``, and its u1 undone, both on the
+state, whose decomposition, reduced operators and structure are cached by
+then, and on a fresh copy of it; the answers must be bit-identical. Exits 1
+on any oracle or reuse mismatch or when the worst residual exceeds
+RESIDUAL_LIMIT, so it can gate CI.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import numpy as np
 
 from uli import (
     NoSolution,
+    commutant_check,
     group_dimension,
     invariance_structure,
     is_invariant,
@@ -62,7 +65,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     worst_residual = 0.0
     mismatches = 0
-    undo_mismatches = 0
+    reuse_mismatches = 0
     dim_histogram = Counter()
 
     for _ in range(args.states):
@@ -80,11 +83,17 @@ def main():
 
         for _ in range(args.pairs_per_state):
             pair = sample_invariant_pair(structure, rng)
-            worst_residual = max(worst_residual, is_invariant(pair, state).residual)
-            if not same_undo(undo_operator(pair.u1, state),
-                             undo_operator(pair.u1, state_from_matrix(state.psi))):
-                undo_mismatches += 1
-                print(f"undo mismatch on a reused state at d1={d1} d2={d2} rank={rank}")
+            fresh = state_from_matrix(state.psi)
+            check = is_invariant(pair, state)
+            worst_residual = max(worst_residual, check.residual)
+            for what, same in (
+                ("invariance", check == is_invariant(pair, fresh)),
+                ("commutant", commutant_check(pair, state) == commutant_check(pair, fresh)),
+                ("undo", same_undo(undo_operator(pair.u1, state), undo_operator(pair.u1, fresh))),
+            ):
+                if not same:
+                    reuse_mismatches += 1
+                    print(f"{what} mismatch on a reused state at d1={d1} d2={d2} rank={rank}")
 
     print(f"states checked:        {args.states}")
     print(f"pairs per state:       {args.pairs_per_state}")
@@ -93,7 +102,7 @@ def main():
     print("group dimension histogram:")
     for dim in sorted(dim_histogram):
         print(f"  dim {dim:3d}: {dim_histogram[dim]}")
-    return 1 if mismatches or undo_mismatches or worst_residual > RESIDUAL_LIMIT else 0
+    return 1 if mismatches or reuse_mismatches or worst_residual > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":

@@ -13,14 +13,19 @@ the Schmidt vectors in the rows of ``s1`` and ``s2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL, check_tolerance
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
-from .matkernel import SvdResult, as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
+from .matkernel import as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -32,24 +37,32 @@ class BipartiteState:
     requested rescaling can still see what they passed in.
 
     The state holds its own read-only copy of ``psi``, so it cannot change
-    after it is built, and it computes the SVD of ``psi`` at most once.
+    after it is built. What ``psi`` alone determines is computed at most once
+    and kept read-only: the SVD and the two reduced operators. ``_structure``
+    holds the last ``invariance_structure`` built for this state, with the
+    tolerances it was built for.
     """
 
     psi: np.ndarray
     input_norm: float = 1.0
+    _structure: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        psi = np.array(self.psi, dtype=np.complex128)
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi", _read_only(np.array(self.psi, dtype=np.complex128)))
 
     @cached_property
-    def _svd(self) -> SvdResult:
-        """Tolerance-free SVD of ``psi``, read-only; cutoffs apply per call on top of it."""
+    def _schmidt_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(s1, sigma, s2)`` of one tolerance-free SVD of ``psi``; cutoffs apply per call."""
         res = svd(self.psi)
-        for a in (res.u, res.sigma, res.v):
-            a.setflags(write=False)
-        return res
+        return _read_only(res.u.T), _read_only(res.sigma), _read_only(res.v.conj().T)
+
+    @cached_property
+    def _rho1(self) -> np.ndarray:
+        return _read_only(self.psi @ self.psi.conj().T)
+
+    @cached_property
+    def _rho2(self) -> np.ndarray:
+        return _read_only(self.psi.T @ self.psi.conj())
 
     @property
     def d1(self) -> int:
@@ -69,7 +82,9 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     norm (the norm overflowed, or the entries are subnormal) is refused.
     """
     m = as_complex_matrix(psi, "psi")
-    norm = float(np.linalg.norm(m))
+    # an overflowing or subnormal norm is refused below; numpy's warning would only add noise
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(m))
     if abs(norm - 1.0) <= DEFAULT_NORM_TOL:
         return BipartiteState(psi=m, input_norm=norm)
     if not normalize:
@@ -77,7 +92,8 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     if norm == 0.0:
         raise NotNormalized(norm, "cannot normalize the zero matrix")
     scaled = m / norm
-    rescaled = float(np.linalg.norm(scaled))
+    with np.errstate(over="ignore", under="ignore"):
+        rescaled = float(np.linalg.norm(scaled))
     if abs(rescaled - 1.0) > DEFAULT_NORM_TOL:
         raise NotNormalized(norm, f"cannot normalize: measured norm {norm!r} "
                                   f"rescales to {rescaled!r}")
@@ -114,13 +130,13 @@ def apply_local(a, b, state: BipartiteState) -> BipartiteState:
 
 
 def partial_trace_2(state: BipartiteState) -> np.ndarray:
-    """Reduced operator on subsystem 1: ``psi @ psi.conj().T``."""
-    return state.psi @ state.psi.conj().T
+    """Reduced operator on subsystem 1: ``psi @ psi.conj().T``, cached on the state, read-only."""
+    return state._rho1
 
 
 def partial_trace_1(state: BipartiteState) -> np.ndarray:
-    """Reduced operator on subsystem 2: ``psi.T @ psi.conj()``."""
-    return state.psi.T @ state.psi.conj()
+    """Reduced operator on subsystem 2: ``psi.T @ psi.conj()``, cached on the state, read-only."""
+    return state._rho2
 
 
 @dataclass(frozen=True)
@@ -158,12 +174,11 @@ def schmidt_decompose(state: BipartiteState, rank_tol: float = DEFAULT_RANK_TOL)
 
     The factors are repackaged as ``s1 = u.T`` and ``s2 = v.conj().T`` so that
     ``psi = s1.T @ Sigma @ s2`` and the Schmidt vectors are rows of the two
-    unitaries. The SVD is the one cached on ``state``; only the rank cutoff
-    is recomputed.
+    unitaries. The factors are the read-only ones cached on ``state``; only
+    the rank cutoff is recomputed.
     """
-    res = state._svd
-    rank = _support_rank(res.sigma, rank_tol)
-    return SchmidtForm(s1=res.u.T, s2=res.v.conj().T, sigma=res.sigma, rank=rank)
+    s1, sigma, s2 = state._schmidt_factors
+    return SchmidtForm(s1=s1, s2=s2, sigma=sigma, rank=_support_rank(sigma, rank_tol))
 
 
 @dataclass(frozen=True)

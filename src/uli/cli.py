@@ -63,7 +63,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this parser's private type function
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value

@@ -38,11 +38,11 @@ from .config import (
 )
 from .errors import NotUnitary
 from .matkernel import (
+    _unitarity_defect,
     as_square_matrix,
     haar_unitary,
     numerical_rank,
     singular_values,
-    unitarity_defect,
 )
 
 
@@ -125,7 +125,16 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
 
     States near a degeneracy boundary can flip structure with the tolerance;
     the spectrum's minimum gap is exposed so fragile cases are visible.
+
+    The state keeps the last structure built for it: a call with the same
+    tolerances returns that same immutable object, and other tolerances
+    build a new one that replaces it.
     """
+    key = (check_tolerance(rank_tol, "rank_tol"),
+           check_tolerance(degeneracy_tol, "degeneracy_tol"))
+    last = state._structure  # read once: another thread may replace it meanwhile
+    if last is not None and last[0] == key:
+        return last[1]
     schmidt = schmidt_decompose(state, rank_tol=rank_tol)
     spectrum = cluster_spectrum(
         schmidt.sigma,
@@ -138,7 +147,9 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     for value, mult in spectrum.clusters:
         blocks.append(SupportBlock(start=start, size=mult, value=value))
         start += mult
-    return InvarianceStructure(schmidt=schmidt, spectrum=spectrum, blocks=tuple(blocks))
+    structure = InvarianceStructure(schmidt=schmidt, spectrum=spectrum, blocks=tuple(blocks))
+    object.__setattr__(state, "_structure", (key, structure))
+    return structure
 
 
 def _block_diagonal(structure: InvarianceStructure, dim: int, blocks,
@@ -218,7 +229,7 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
     """
     tol = check_tolerance(tol, "tol")
     m1 = as_square_matrix(u1, "u1", state.d1)
-    defect = unitarity_defect(m1)
+    defect = _unitarity_defect(m1)
     if defect > UNITARY_TOL:
         raise NotUnitary(f"u1 deviates from unitarity by {defect:.3e}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bipartite import BipartiteState, state_from_matrix
 from .config import UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
-from .matkernel import as_complex_matrix, unitarity_defect
+from .matkernel import _unitarity_defect, as_complex_matrix
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -110,7 +110,7 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
     obj = _load(source)
     n = _dimension(obj, "n", "unitary")
     m = _matrix_from_payload(obj, n, n, "unitary")
-    defect = unitarity_defect(m)
+    defect = _unitarity_defect(m)
     if defect <= UNITARY_TOL:
         return m, 0.0
     if not lenient:

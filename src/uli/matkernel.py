@@ -51,6 +51,11 @@ def unitarity_defect(u) -> float:
     m = as_complex_matrix(u, "u")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")
+    return _unitarity_defect(m)
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """``unitarity_defect`` of a square complex128 matrix its caller has already validated."""
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 

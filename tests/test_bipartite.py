@@ -1,5 +1,7 @@
 """Tests for the state-operator correspondence and Schmidt machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,14 @@ class TestVecMatrix:
         m = np.array([[1.0, 0.5], [0.25, 1.0]]) * scale
         with pytest.raises(NotNormalized, match="cannot normalize"):
             state_from_matrix(m, normalize=True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_norm_raises_without_a_numpy_warning(self, normalize):
+        m = np.array([[1.0, 0.5], [0.25, 1.0]]) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized):
+                state_from_matrix(m, normalize=normalize)
 
 
 class TestApplyLocal:

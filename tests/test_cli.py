@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot normalize" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "state is not normalized: measured norm inf"),
+        (["--normalize"], "cannot normalize: measured norm inf rescales to 0.0"),
+    ])
+    def test_overflowing_norm_prints_only_the_error_line(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"d1": 2, "d2": 2, "re": [[1e200, 5e199], [2.5e199, 1e200]], "im": [[0, 0], [0, 0]]}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
@@ -298,6 +315,23 @@ class TestGen:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 64
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["gen", "bell", "--d1", "x", "--d2", "2"], "--d1", "'x'"),
+        (["gen", "bell", "--d1", "2", "--d2", "2", "--seed", "x"], "--seed", "'x'"),
+        (["sample", "STATE", "--count", "1.5"], "--count", "'1.5'"),
+        (["sample", "STATE", "--seed", "x"], "--seed", "'x'"),
+    ])
+    def test_non_integer_flag_names_the_flag_not_the_parser(self, bell_file, tmp_path, capsys,
+                                                            argv, flag, text):
+        out = tmp_path / "out"
+        argv = [bell_file if a == "STATE" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be an integer, got {text}" in captured.err
+        assert "_positive_int" not in captured.err and "_seed" not in captured.err
+        assert not out.exists()
 
     def test_missing_required_argument(self, capsys):
         assert main(["sample"]) == 64

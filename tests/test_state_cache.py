@@ -1,4 +1,8 @@
-"""A state holds a read-only copy of psi and decomposes it at most once."""
+"""A state holds a read-only copy of psi and computes what psi alone determines once.
+
+That is its SVD, its two reduced operators, and the structure for the last
+tolerances asked for.
+"""
 
 import numpy as np
 import pytest
@@ -8,15 +12,19 @@ from uli import (
     NoSolution,
     UnitaryPair,
     apply_local,
+    commutant_check,
     haar_unitary,
     invariance_structure,
+    partial_trace_1,
+    partial_trace_2,
     random_state_with_spectrum,
+    sample_invariant_pair,
     schmidt_decompose,
     state_from_matrix,
     svd,
     undo_operator,
 )
-from uli import bipartite
+from uli import bipartite, invariance
 
 LOOSE, TIGHT = 1e-8, 1e-10
 
@@ -143,3 +151,70 @@ def test_undo_follows_each_calls_tolerances():
                                             degeneracy_tol=degeneracy_tol))
         kinds.append(type(got))
     assert kinds == [UnitaryPair, NoSolution, UnitaryPair]
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 4), (3, 5), (16, 16)])
+def test_reduced_operators_equal_fresh_products_and_are_read_only(d1, d2):
+    state = random_state(np.random.default_rng(d1 * 17 + d2), d1, d2)
+    psi = state.psi.copy()
+    for _ in range(2):  # the second round reads the cache
+        rho1, rho2 = partial_trace_2(state), partial_trace_1(state)
+        assert rho1.tobytes() == (psi @ psi.conj().T).tobytes()
+        assert rho2.tobytes() == (psi.T @ psi.conj()).tobytes()
+    for rho in (rho1, rho2):
+        with pytest.raises(ValueError):
+            rho[0, 0] = 0
+
+
+def test_commutant_check_on_a_reused_state_equals_a_fresh_one():
+    rng = np.random.default_rng(6)
+    raw = np.array([0.6, 0.6, 0.4, 0.2, 0.2])
+    state = random_state_with_spectrum(raw / np.linalg.norm(raw), 6, 5, rng)
+    invariant = sample_invariant_pair(invariance_structure(state), rng)
+    haar = UnitaryPair(u1=haar_unitary(6, rng), u2=haar_unitary(5, rng))
+    for pair in (invariant, haar, invariant, haar):
+        assert commutant_check(pair, state) == commutant_check(pair, state_from_matrix(state.psi))
+
+
+def test_equal_tolerances_return_the_same_structure(monkeypatch):
+    calls = []
+    real = invariance.cluster_spectrum
+    monkeypatch.setattr(invariance, "cluster_spectrum",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    state = fragile_state(np.random.default_rng(7))
+    first = invariance_structure(state, rank_tol=TIGHT, degeneracy_tol=LOOSE)
+    again = invariance_structure(state, rank_tol=np.float64(TIGHT), degeneracy_tol=LOOSE)
+    assert again is first
+    assert len(calls) == 1
+
+
+def test_alternating_tolerances_rebuild_and_match_a_fresh_state(monkeypatch):
+    calls = []
+    real = invariance.cluster_spectrum
+    monkeypatch.setattr(invariance, "cluster_spectrum",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    state = fragile_state(np.random.default_rng(8))
+    blocks = []
+    for degeneracy_tol in (LOOSE, TIGHT, LOOSE, TIGHT):
+        got = invariance_structure(state, degeneracy_tol=degeneracy_tol)
+        fresh = invariance_structure(state_from_matrix(state.psi), degeneracy_tol=degeneracy_tol)
+        assert_same_structure(got, fresh)
+        blocks.append(len(got.blocks))
+    assert blocks == [3, 4, 3, 4]
+    assert len(calls) == 8  # one entry per state: every switch rebuilds
+
+
+def test_invalid_tolerance_is_refused_after_a_cached_structure():
+    state = random_state(np.random.default_rng(9), 3, 3)
+    invariance_structure(state)
+    for kw in ({"rank_tol": float("nan")}, {"degeneracy_tol": -1.0}):
+        with pytest.raises(ValueError):
+            invariance_structure(state, **kw)
+
+
+def test_shared_structure_arrays_are_read_only():
+    state = random_state(np.random.default_rng(10), 3, 4)
+    structure = invariance_structure(state)
+    for a in (structure.schmidt.s1, structure.schmidt.s2, structure.schmidt.sigma):
+        with pytest.raises(ValueError):
+            a[0] = 0
