@@ -3,11 +3,12 @@
 
 For each state: sample an invariant pair and record the worst invariance
 residual, and compare the block-counting group dimension against the
-lie-algebra nullspace oracle. Each sampled pair is also checked with
+lie-algebra nullspace oracle, and the structure's rank against the rank
+the state was drawn with. Each sampled pair is also checked with
 ``is_invariant`` and ``commutant_check``, and its u1 undone, both on the
 state, whose decomposition, reduced operators and structure are cached by
 then, and on a fresh copy of it; the answers must be bit-identical. Exits 1
-on any oracle or reuse mismatch or when the worst residual exceeds
+on any oracle, rank or reuse mismatch or when the worst residual exceeds
 RESIDUAL_LIMIT, so it can gate CI.
 """
 
@@ -65,6 +66,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     worst_residual = 0.0
     mismatches = 0
+    rank_mismatches = 0
     reuse_mismatches = 0
     dim_histogram = Counter()
 
@@ -75,6 +77,10 @@ def main():
         state = random_state_with_spectrum(clustered_spectrum(rng, rank), d1, d2, rng)
 
         structure = invariance_structure(state)
+        if structure.rank != rank:
+            rank_mismatches += 1
+            print(f"rank mismatch at d1={d1} d2={d2}: built with {rank}, structure has "
+                  f"{structure.rank}")
         gdim = group_dimension(structure)
         dim_histogram[gdim] += 1
         if lie_algebra_dimension(state) != gdim:
@@ -102,7 +108,8 @@ def main():
     print("group dimension histogram:")
     for dim in sorted(dim_histogram):
         print(f"  dim {dim:3d}: {dim_histogram[dim]}")
-    return 1 if mismatches or reuse_mismatches or worst_residual > RESIDUAL_LIMIT else 0
+    failed = mismatches or rank_mismatches or reuse_mismatches
+    return 1 if failed or worst_residual > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Coefficient matrix of a bipartite pure state.
 
@@ -38,23 +38,24 @@ class BipartiteState:
 
     The state holds its own read-only copy of ``psi``, so it cannot change
     after it is built. What ``psi`` alone determines is computed at most once
-    and kept read-only: the SVD and the two reduced operators. ``_structure``
-    holds the last ``invariance_structure`` built for this state, with the
-    tolerances it was built for.
+    and kept read-only: the Schmidt form and the two reduced operators.
+    ``_structure`` holds the last ``invariance_structure`` built for this
+    state, with the tolerances it was built for. Equality and hashing are by
+    identity.
     """
 
     psi: np.ndarray
     input_norm: float = 1.0
-    _structure: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _structure: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psi", _read_only(np.array(self.psi, dtype=np.complex128)))
 
     @cached_property
-    def _schmidt_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(s1, sigma, s2)`` of one tolerance-free SVD of ``psi``; cutoffs apply per call."""
+    def _schmidt(self) -> SchmidtForm:
         res = svd(self.psi)
-        return _read_only(res.u.T), _read_only(res.sigma), _read_only(res.v.conj().T)
+        return SchmidtForm(s1=_read_only(res.u.T), s2=_read_only(res.v.conj().T),
+                           sigma=_read_only(res.sigma))
 
     @cached_property
     def _rho1(self) -> np.ndarray:
@@ -139,19 +140,19 @@ def partial_trace_1(state: BipartiteState) -> np.ndarray:
     return state._rho2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """SVD of psi arranged as ``psi = s1.T @ Sigma @ s2``.
 
     Row k of ``s1`` holds the coordinates of the k-th Schmidt vector of
-    subsystem 1, row k of ``s2`` those of subsystem 2. ``sigma`` is sorted
-    descending; ``rank`` counts values strictly above the rank cutoff.
+    subsystem 1, row k of ``s2`` those of subsystem 2. ``sigma`` holds all
+    min(d1, d2) singular values, sorted descending; the rank is a tolerance
+    decision and belongs to ``cluster_spectrum``.
     """
 
     s1: np.ndarray
     s2: np.ndarray
     sigma: np.ndarray
-    rank: int
 
     @property
     def d1(self) -> int:
@@ -162,23 +163,15 @@ class SchmidtForm:
         return self.s2.shape[0]
 
 
-def _support_rank(sigma: np.ndarray, rank_tol: float) -> int:
-    """Number of values of a descending spectrum above ``rank_tol`` times the largest."""
-    rank_tol = check_tolerance(rank_tol, "rank_tol")
-    smax = float(sigma[0]) if sigma.size else 0.0
-    return int(np.count_nonzero(sigma > rank_tol * smax))
-
-
-def schmidt_decompose(state: BipartiteState, rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtForm:
+def schmidt_decompose(state: BipartiteState) -> SchmidtForm:
     """Schmidt decomposition of a state via the SVD ``psi = u @ Sigma @ v.conj().T``.
 
     The factors are repackaged as ``s1 = u.T`` and ``s2 = v.conj().T`` so that
     ``psi = s1.T @ Sigma @ s2`` and the Schmidt vectors are rows of the two
-    unitaries. The factors are the read-only ones cached on ``state``; only
-    the rank cutoff is recomputed.
+    unitaries. The form is computed once per state and every call returns
+    that same read-only object.
     """
-    s1, sigma, s2 = state._schmidt_factors
-    return SchmidtForm(s1=s1, s2=s2, sigma=sigma, rank=_support_rank(sigma, rank_tol))
+    return state._schmidt
 
 
 @dataclass(frozen=True)
@@ -238,10 +231,9 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
             f"spectrum of length {s.size} does not fit dims ({d1}, {d2})"
         )
 
-    rank = _support_rank(s, rank_tol)
-    support = s[:rank]
     smax = float(s[0]) if s.size else 0.0
-
+    rank = int(np.count_nonzero(s > check_tolerance(rank_tol, "rank_tol") * smax))
+    support = s[:rank]
     gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * smax
     cuts = np.flatnonzero(support[:-1] - support[1:] > gap_cut) + 1
     edges = [0, *cuts.tolist(), rank] if rank else []

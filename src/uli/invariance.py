@@ -55,14 +55,15 @@ class SupportBlock:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvarianceStructure:
     """Symbolic description of the stabilizer group of one state.
 
     ``blocks`` lists the coupled support blocks in Schmidt order (side-2 block
     equal to the conjugate of the side-1 block); the null blocks of dimensions
-    ``null_dims`` are free and independent per side. ``schmidt`` carries the
-    basis change to the original basis.
+    ``null_dims`` are free and independent per side. ``schmidt`` is the
+    state's cached Schmidt form and carries the basis change to the
+    original basis.
     """
 
     schmidt: SchmidtForm
@@ -86,7 +87,7 @@ class InvarianceStructure:
         return self.spectrum.null_dims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryPair:
     """Local unitaries acting on subsystem 1 and 2 respectively."""
 
@@ -135,7 +136,7 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     last = state._structure  # read once: another thread may replace it meanwhile
     if last is not None and last[0] == key:
         return last[1]
-    schmidt = schmidt_decompose(state, rank_tol=rank_tol)
+    schmidt = schmidt_decompose(state)
     spectrum = cluster_spectrum(
         schmidt.sigma,
         rank_tol=rank_tol,

@@ -59,7 +59,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Factorization ``input = u @ rect_diag(sigma) @ v.conj().T``.
 

@@ -70,6 +70,10 @@ class TestVecMatrix:
         with pytest.raises(DimensionMismatch):
             vec_to_matrix(np.ones(3) / np.sqrt(3), 2, 2)
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match="must be a vector"):
+            vec_to_matrix(np.eye(2) / np.sqrt(2), 2, 2)
+
     def test_rejects_non_normalized_and_carries_norm(self):
         with pytest.raises(NotNormalized) as excinfo:
             vec_to_matrix(np.array([1.0, 1.0, 0, 0]), 2, 2)
@@ -88,6 +92,10 @@ class TestVecMatrix:
         m = np.array([[1.0, 0.5], [0.25, 1.0]]) * scale
         with pytest.raises(NotNormalized, match="cannot normalize"):
             state_from_matrix(m, normalize=True)
+
+    def test_normalize_refuses_the_zero_matrix(self):
+        with pytest.raises(NotNormalized, match="cannot normalize the zero matrix"):
+            state_from_matrix(np.zeros((2, 2)), normalize=True)
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_overflowing_norm_raises_without_a_numpy_warning(self, normalize):
@@ -170,14 +178,14 @@ class TestSchmidtDecompose:
         state = state_from_matrix(np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(complex))
         form = schmidt_decompose(state)
         np.testing.assert_allclose(form.sigma, [np.sqrt(0.8), np.sqrt(0.2)])
-        assert form.rank == 2
+        assert cluster_spectrum(form.sigma).rank == 2
         np.testing.assert_allclose(form.s1, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(form.s2, np.eye(2), atol=1e-14)
 
     def test_bell(self):
         form = schmidt_decompose(bell_state())
         np.testing.assert_allclose(form.sigma, np.full(2, 1 / np.sqrt(2)))
-        assert form.rank == 2
+        assert cluster_spectrum(form.sigma).rank == 2
 
     def test_reconstruction_and_sigma_match(self):
         rng = np.random.default_rng(7)
@@ -226,6 +234,14 @@ class TestClusterSpectrum:
         with pytest.raises(BadSpectrum):
             cluster_spectrum(np.array([0.5, -0.1]))
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(BadSpectrum, match="must be a vector"):
+            cluster_spectrum(np.eye(2))
+
+    def test_rejects_a_spectrum_longer_than_dims(self):
+        with pytest.raises(DimensionMismatch):
+            cluster_spectrum(np.array([0.8, 0.6]), dims=(1, 3))
+
     def test_near_degenerate_chains_with_loose_tolerance(self):
         sigma = np.array([0.8, 0.8 - 1e-9, 0.1])
         sigma = sigma / np.linalg.norm(sigma)
@@ -254,7 +270,7 @@ class TestRandomStateWithSpectrum:
     def test_rank_one_is_product(self):
         rng = np.random.default_rng(9)
         state = random_state_with_spectrum(np.array([1.0]), 2, 2, rng)
-        assert schmidt_decompose(state).rank == 1
+        assert cluster_spectrum(schmidt_decompose(state).sigma).rank == 1
 
     def test_maximally_entangled_core(self):
         rng = np.random.default_rng(10)
@@ -268,6 +284,10 @@ class TestRandomStateWithSpectrum:
         sigma = np.sqrt(np.array([0.5, 0.3, 0.2]))
         state = random_state_with_spectrum(sigma, 3, 4, rng)
         np.testing.assert_allclose(schmidt_decompose(state).sigma, sigma, atol=1e-12)
+
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(BadSpectrum, match="non-empty"):
+            random_state_with_spectrum([], 2, 2, np.random.default_rng(13))
 
     def test_rejects_bad_spectra(self):
         rng = np.random.default_rng(12)

@@ -107,6 +107,14 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_non_object_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a JSON object at top level\n"
+
     def test_near_degenerate_tolerance_mismatch_exits_3(self, tmp_path, capsys):
         # gap below the clustering tolerance but above the oracle's rank
         # cutoff: the two dimension counts legitimately disagree
@@ -291,6 +299,14 @@ class TestGen:
                      "--spectrum", "0.9", "0.9", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_spectrum_without_values_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["gen", "spectrum", "--d1", "2", "--d2", "2", "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires --spectrum" in captured.err
+        assert not out.exists()
 
     def test_haar_random_is_normalized(self, tmp_path, capsys):
         out = tmp_path / "haar.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from uli import (
+    DimensionMismatch,
     haar_unitary,
     real_nullspace_dimension,
     rect_diag,
@@ -100,6 +101,15 @@ class TestSvd:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 2)))
+
+    def test_rejects_three_dimensional(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            svd(np.zeros((2, 2, 2)))
+
+
+def test_unitarity_defect_rejects_non_square():
+    with pytest.raises(DimensionMismatch, match="square"):
+        unitarity_defect(np.ones((2, 3)))
 
 
 class TestHaarUnitary:

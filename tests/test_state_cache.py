@@ -51,7 +51,6 @@ def swap_leading_schmidt_vectors(state):
 def assert_same_structure(a, b):
     assert a.spectrum == b.spectrum
     assert a.blocks == b.blocks
-    assert a.schmidt.rank == b.schmidt.rank
     for x, y in ((a.schmidt.s1, b.schmidt.s1), (a.schmidt.s2, b.schmidt.s2),
                  (a.schmidt.sigma, b.schmidt.sigma)):
         assert x.tobytes() == y.tobytes()
@@ -210,6 +209,29 @@ def test_invalid_tolerance_is_refused_after_a_cached_structure():
     for kw in ({"rank_tol": float("nan")}, {"degeneracy_tol": -1.0}):
         with pytest.raises(ValueError):
             invariance_structure(state, **kw)
+
+
+def test_one_schmidt_form_per_state_whatever_the_tolerances():
+    state = fragile_state(np.random.default_rng(11))
+    form = schmidt_decompose(state)
+    assert schmidt_decompose(state) is form
+    tight = invariance_structure(state, rank_tol=TIGHT, degeneracy_tol=TIGHT)
+    loose = invariance_structure(state, rank_tol=LOOSE, degeneracy_tol=LOOSE)
+    assert (tight.rank, loose.rank) == (4, 3)
+    assert tight.schmidt is form and loose.schmidt is form
+
+
+def test_array_holding_results_compare_by_identity():
+    rng = np.random.default_rng(12)
+    a = random_state(rng, 2, 3)
+    b = state_from_matrix(a.psi)
+    assert b not in [a]
+    assert len({a, b}) == 2
+    structure = invariance_structure(a)
+    pair = sample_invariant_pair(structure, rng)
+    assert pair == pair
+    assert pair != UnitaryPair(u1=pair.u1, u2=pair.u2)
+    assert len({structure, structure.schmidt, svd(a.psi), pair}) == 4
 
 
 def test_shared_structure_arrays_are_read_only():

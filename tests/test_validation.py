@@ -15,7 +15,6 @@ from uli import (
     lie_algebra_dimension,
     random_state_with_spectrum,
     real_nullspace_dimension,
-    schmidt_decompose,
     state_from_matrix,
     undo_operator,
 )
@@ -31,7 +30,6 @@ CALLS = {
     "real_nullspace_dimension": lambda **kw: real_nullspace_dimension(np.eye(3), **kw),
     "lie_algebra_dimension": lambda **kw: lie_algebra_dimension(STATE, **kw),
     "cluster_spectrum": lambda **kw: cluster_spectrum(np.array([0.8, 0.6]), **kw),
-    "schmidt_decompose": lambda **kw: schmidt_decompose(STATE, **kw),
     "invariance_structure": lambda **kw: invariance_structure(STATE, **kw),
 }
 
@@ -45,7 +43,6 @@ KEYWORDS = [
     ("lie_algebra_dimension", "tol"),
     ("cluster_spectrum", "rank_tol"),
     ("cluster_spectrum", "degeneracy_tol"),
-    ("schmidt_decompose", "rank_tol"),
     ("invariance_structure", "rank_tol"),
     ("invariance_structure", "degeneracy_tol"),
 ]
@@ -84,7 +81,7 @@ def test_random_state_rejects_non_finite_spectrum(sigma):
         random_state_with_spectrum(np.array(sigma), 2, 2, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("values", [["1", "-0.5"], ["1", "nan"], ["nan"], ["-1"]])
+@pytest.mark.parametrize("values", [["1", "-0.5"], ["1", "nan"], ["nan"], ["-1"], ["0"]])
 def test_gen_spectrum_bad_values_exit_2_without_file(tmp_path, capsys, values):
     out = tmp_path / "s.json"
     code = main(["gen", "spectrum", "--d1", "2", "--d2", "2", "--spectrum", *values,
