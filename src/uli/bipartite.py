@@ -23,6 +23,10 @@ from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
 from .matkernel import as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
 
 
+# numpy's sum adds up to 7 values left to right and more pairwise
+_COLUMNS = np.arange(7)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -204,8 +208,25 @@ class DegeneracySpectrum:
 
 
 def _check_finite_nonnegative(s: np.ndarray) -> None:
-    if not np.all(np.isfinite(s)) or np.any(s < 0):
+    if not np.isfinite(s).all() or (s < 0).any():
         raise BadSpectrum("singular values must be finite and non-negative")
+
+
+def _cluster_means(support: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each cluster, with the bits of ``support[a:b].mean()``.
+
+    numpy sums fewer than 8 values left to right from 0.0, so a running sum
+    along the rows of the clusters, zero-padded to at most 7 columns, makes
+    the same additions (adding 0.0 changes no bit). From 8 values on numpy
+    sums pairwise; those clusters take ``mean()`` itself.
+    """
+    cols = _COLUMNS[:int(sizes.max(initial=1))]
+    padded = np.where(cols < sizes[:, None],
+                      np.take(support, starts[:, None] + cols, mode="clip"), 0.0)
+    means = np.add.accumulate(padded, axis=1)[:, -1] / sizes
+    for k in np.flatnonzero(sizes > _COLUMNS.size):
+        means[k] = support[starts[k]:starts[k] + sizes[k]].mean()
+    return means
 
 
 def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
@@ -223,7 +244,7 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     if s.ndim != 1:
         raise BadSpectrum(f"sigma must be a vector, got shape {s.shape}")
     _check_finite_nonnegative(s)
-    if s.size > 1 and np.any(np.diff(s) > 0):
+    if (s[1:] > s[:-1]).any():
         raise NotSorted("sigma must be sorted descending")
     d1, d2 = dims if dims is not None else (s.size, s.size)
     if s.size > min(d1, d2):
@@ -235,9 +256,13 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     rank = int(np.count_nonzero(s > check_tolerance(rank_tol, "rank_tol") * smax))
     support = s[:rank]
     gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * smax
-    cuts = np.flatnonzero(support[:-1] - support[1:] > gap_cut) + 1
-    edges = [0, *cuts.tolist(), rank] if rank else []
-    clusters = tuple((float(support[a:b].mean()), b - a) for a, b in zip(edges, edges[1:]))
+    # cluster edges: both ends of the support and every gap above the cut
+    is_edge = np.ones(rank + 1, dtype=bool)
+    np.greater(support[:-1] - support[1:], gap_cut, out=is_edge[1:-1])
+    edges = np.flatnonzero(is_edge)
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+    means = _cluster_means(support, starts, sizes)
+    clusters = tuple(zip(means.tolist(), sizes.tolist()))
     return DegeneracySpectrum(clusters=clusters, rank=rank, null_dims=(d1 - rank, d2 - rank))
 
 

@@ -11,7 +11,8 @@ original basis uses ``u_j = s_j.T @ r_j @ s_j.conj()``.
 The group's real dimension under this parameterization is the sum of squared
 cluster multiplicities plus the squared null dimensions; it is cross-checked
 by an oracle that linearizes the invariance condition at the identity and
-shares only the singular values of psi with the structure path.
+shares only the singular values of psi with the structure path: it reads the
+values of the state's cached Schmidt form, so the state's one SVD serves both.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .matkernel import (
     as_square_matrix,
     haar_unitary,
     numerical_rank,
-    singular_values,
 )
 
 
@@ -259,7 +259,8 @@ def group_dimension(structure: InvarianceStructure) -> int:
 def _linearized_spectrum(sigma: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """The 2*d1*d2 singular values of the oracle's map, unsorted; see ``lie_algebra_dimension``."""
     m = sigma.size
-    i, j = np.triu_indices(m, 1)
+    k = np.arange(m)
+    i, j = np.nonzero(k[:, None] < k)  # the pairs i < j
     pairs = np.concatenate([sigma[i] + sigma[j], np.abs(sigma[i] - sigma[j])]) / np.sqrt(2.0)
     return np.concatenate([np.repeat(pairs, 2), np.sqrt(2.0) * sigma, np.zeros(m),
                            np.repeat(sigma / np.sqrt(2.0), 2 * (d1 + d2 - 2 * m))])
@@ -274,11 +275,12 @@ def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_T
     singular values (s_i + s_j)/sqrt2 and |s_i - s_j|/sqrt2 twice per pair
     i < j of the m singular values s of psi, and per value sqrt2*s_i, a zero
     and s_i/sqrt2 2*(d1 + d2 - 2m) times; the dimension is d1^2 + d2^2 minus
-    their ``numerical_rank``. Only LAPACK's values s are shared with the
-    structure path: a values-only SVD, a cutoff per pair, no rank cutoff or
-    clustering. Against a basis whose off-diagonal elements have norm sqrt2,
-    a decision can differ only for a value within a factor of 2 of the cutoff.
+    their ``numerical_rank``. Only the values s are shared with the structure
+    path, read from the state's cached Schmidt form; the decision is a cutoff
+    per pair, with no rank cutoff or clustering. Against a basis whose
+    off-diagonal elements have norm sqrt2, a decision can differ only for a
+    value within a factor of 2 of the cutoff.
     """
     tol = check_tolerance(tol, "tol")
-    spectrum = _linearized_spectrum(singular_values(state.psi), state.d1, state.d2)
+    spectrum = _linearized_spectrum(schmidt_decompose(state).sigma, state.d1, state.d2)
     return state.d1**2 + state.d2**2 - numerical_rank(spectrum, tol)

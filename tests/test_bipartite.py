@@ -337,3 +337,19 @@ def test_cluster_spectrum_matches_the_loop_bit_for_bit():
         want = _clusters_by_loop(s, rank_tol, degeneracy_tol)
         assert [(v.hex(), m, type(m)) for v, m in got.clusters] == \
             [(v.hex(), m, int) for v, m in want]
+
+
+@pytest.mark.parametrize("sizes", [[1], [7], [8], [9], [15], [16], [17], [127], [128], [129],
+                                   [1, 7, 8, 9, 15, 16, 17, 127, 128, 129],
+                                   [129, 3, 8, 1, 128, 7, 16, 2, 17, 9]])
+def test_cluster_means_match_mean_at_pairwise_boundaries(sizes):
+    # numpy's mean sums up to 7 values left to right and 8 or more pairwise
+    rng = np.random.default_rng(sum(sizes))
+    values = np.sort(rng.uniform(0.1, 1.0, len(sizes)))[::-1] * (1.0 - 0.1 * np.arange(len(sizes)))
+    segments = [np.sort(v * (1.0 + rng.uniform(-1e-12, 1e-12, k)))[::-1]
+                for v, k in zip(values, sizes)]
+    s = np.concatenate(segments)
+    assert np.all(np.diff(s) <= 0)
+    got = cluster_spectrum(s, rank_tol=0.0, degeneracy_tol=1e-9, dims=(s.size, s.size))
+    assert [(v.hex(), m) for v, m in got.clusters] == \
+        [(float(seg.mean()).hex(), seg.size) for seg in segments]

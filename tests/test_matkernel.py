@@ -185,3 +185,21 @@ class TestRealNullspaceDimension:
         rng = np.random.default_rng(10)
         m = rng.standard_normal((3, 7))
         assert real_nullspace_dimension(m) == 4
+
+
+def _defect_with_eye(m):
+    """The expression ``_unitarity_defect`` replaced: subtract a fresh identity."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def test_unitarity_defect_keeps_the_bits_of_subtracting_the_identity():
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (1, 2, 3, 8, 17, 32):
+        u = haar_unitary(n, rng)
+        for scale in (0.0, 1e-15, 1e-9, 1e-3):
+            cases.append(u + scale * random_complex(rng, n, n))
+    signed = np.array([[-0.0 - 0.0j, 1.0 - 0.0j], [1.0 + 0.0j, 0.0 - 0.0j]])
+    cases += [signed, -signed, np.diag([-0.0 + 1.0j, 1.0 - 0.0j])]
+    for m in cases:
+        assert unitarity_defect(m).hex() == _defect_with_eye(m).hex()

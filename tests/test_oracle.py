@@ -19,6 +19,7 @@ from uli import (
     state_from_matrix,
 )
 from uli.invariance import _linearized_spectrum
+from uli.matkernel import numerical_rank, singular_values
 
 SHAPES = [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (2, 2), (3, 3), (4, 4), (5, 5),
           (2, 3), (3, 2), (2, 5), (5, 3), (4, 6), (6, 4)]
@@ -108,3 +109,21 @@ def test_sizes_beyond_a_dense_system(d1, d2, rank):
     known = sum(k * k for k in mults) + (d1 - rank) ** 2 + (d2 - rank) ** 2
     assert group_dimension(invariance_structure(state)) == known
     assert lie_algebra_dimension(state) == known
+
+
+def two_level_state(gap):
+    """The state of ``scripts/degeneracy_sweep.py``: two Schmidt values ``gap`` apart."""
+    sigma = np.array([1.0, 1.0 - gap])
+    return state_from_matrix(np.diag(sigma / np.linalg.norm(sigma)).astype(complex))
+
+
+# the sweep's gaps, without 1e-8 and 1e-9: the fragile window (2e-10, 1e-8]
+SWEEP_STATES = [two_level_state(10.0 ** -e) for e in (*range(1, 8), *range(10, 15))]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_DECISION_TOL, 1e-6, 0.0])
+def test_cached_values_move_no_oracle_decision(tol):
+    for index, state in enumerate(STATES + SWEEP_STATES):
+        values_only = _linearized_spectrum(singular_values(state.psi), state.d1, state.d2)
+        expected = state.d1**2 + state.d2**2 - numerical_rank(values_only, tol)
+        assert lie_algebra_dimension(state, tol=tol) == expected, (index, state.d1, state.d2)

@@ -25,6 +25,8 @@ from uli import (
     undo_operator,
 )
 from uli import bipartite, invariance
+from uli.cli import main
+from uli.io import write_state_file
 
 LOOSE, TIGHT = 1e-8, 1e-10
 
@@ -240,3 +242,34 @@ def test_shared_structure_arrays_are_read_only():
     for a in (structure.schmidt.s1, structure.schmidt.s2, structure.schmidt.sigma):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 3), (4, 7)])
+def test_analysis_of_a_fresh_state_makes_one_svd(monkeypatch, shape):
+    rng = np.random.default_rng(sum(shape))
+    state = random_state(rng, *shape)
+    calls = _count_svd_calls(monkeypatch)
+    structure = invariance_structure(state)
+    assert invariance.group_dimension(structure) == invariance.lie_algebra_dimension(state)
+    assert calls == [True]
+
+
+def test_cli_analyze_makes_one_svd(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    write_state_file(str(path), random_state(np.random.default_rng(3), 4, 3))
+    calls = _count_svd_calls(monkeypatch)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == [True]
