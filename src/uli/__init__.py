@@ -52,7 +52,6 @@ from .invariance import (
     undo_operator,
 )
 from .matkernel import (
-    SvdResult,
     haar_unitary,
     real_nullspace_dimension,
     rect_diag,
@@ -81,7 +80,6 @@ __all__ = [
     "NotUnitary",
     "SchmidtForm",
     "SupportBlock",
-    "SvdResult",
     "ToolkitError",
     "UnitaryPair",
     "apply_local",

@@ -7,8 +7,9 @@ local action becomes matrix action::
     vec(a @ psi @ b.T) == np.kron(a, b) @ vec(psi)
 
 partial traces are ``psi @ psi.conj().T`` and ``psi.T @ psi.conj()``, and the
-Schmidt decomposition is the SVD arranged as ``psi = s1.T @ Sigma @ s2`` with
-the Schmidt vectors in the rows of ``s1`` and ``s2``.
+Schmidt decomposition is the ``SchmidtForm`` that ``matkernel.svd`` returns,
+``psi = s1.T @ Sigma @ s2`` with the Schmidt vectors in the rows of ``s1`` and
+``s2``; a state caches it, and this module re-exports the type.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import numpy as np
 
 from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL, check_tolerance
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
-from .matkernel import as_complex_matrix, as_square_matrix, haar_unitary, rect_diag, svd
+from .matkernel import (
+    SchmidtForm,
+    _read_only,
+    as_complex_matrix,
+    as_square_matrix,
+    haar_unitary,
+    rect_diag,
+    svd,
+)
 
 
 # numpy's sum adds up to 7 values left to right and more pairwise
 _COLUMNS = np.arange(7)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +61,7 @@ class BipartiteState:
 
     @cached_property
     def _schmidt(self) -> SchmidtForm:
-        res = svd(self.psi)
-        return SchmidtForm(s1=_read_only(res.u.T), s2=_read_only(res.v.conj().T),
-                           sigma=_read_only(res.sigma))
+        return svd(self.psi)
 
     @cached_property
     def _rho1(self) -> np.ndarray:
@@ -127,11 +129,14 @@ def apply_local(a, b, state: BipartiteState) -> BipartiteState:
 
     Returns the state with coefficient matrix ``a @ psi @ b.T``. No norm check
     is performed: the result is normalized exactly when ``a`` and ``b`` are
-    unitary.
+    unitary. A product that overflows to non-finite entries is refused.
     """
     ma = as_square_matrix(a, "a", state.d1)
     mb = as_square_matrix(b, "b", state.d2)
-    return BipartiteState(psi=ma @ state.psi @ mb.T)
+    # an overflowing product is refused below; numpy's warning would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = ma @ state.psi @ mb.T
+    return BipartiteState(psi=as_complex_matrix(psi, "a @ psi @ b.T"))
 
 
 def partial_trace_2(state: BipartiteState) -> np.ndarray:
@@ -144,36 +149,12 @@ def partial_trace_1(state: BipartiteState) -> np.ndarray:
     return state._rho2
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtForm:
-    """SVD of psi arranged as ``psi = s1.T @ Sigma @ s2``.
-
-    Row k of ``s1`` holds the coordinates of the k-th Schmidt vector of
-    subsystem 1, row k of ``s2`` those of subsystem 2. ``sigma`` holds all
-    min(d1, d2) singular values, sorted descending; the rank is a tolerance
-    decision and belongs to ``cluster_spectrum``.
-    """
-
-    s1: np.ndarray
-    s2: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def d1(self) -> int:
-        return self.s1.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.s2.shape[0]
-
-
 def schmidt_decompose(state: BipartiteState) -> SchmidtForm:
-    """Schmidt decomposition of a state via the SVD ``psi = u @ Sigma @ v.conj().T``.
+    """Schmidt decomposition of a state: ``svd(psi)``, so ``psi = s1.T @ Sigma @ s2``.
 
-    The factors are repackaged as ``s1 = u.T`` and ``s2 = v.conj().T`` so that
-    ``psi = s1.T @ Sigma @ s2`` and the Schmidt vectors are rows of the two
-    unitaries. The form is computed once per state and every call returns
-    that same read-only object.
+    The Schmidt vectors are the rows of the two unitaries. The form is
+    computed once per state and every call returns that same read-only
+    object.
     """
     return state._schmidt
 

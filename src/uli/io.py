@@ -43,7 +43,9 @@ def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarr
             f"{what} matrices must have shape ({rows}, {cols}), "
             f"got re {re.shape} and im {im.shape}"
         )
-    return as_complex_matrix(re + 1j * im, what)
+    # an infinite imaginary part makes 0 * inf here; the caller refuses the non-finite result
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
 
 
 def _dimension(obj: dict, key: str, what: str) -> int:
@@ -109,7 +111,7 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
     """
     obj = _load(source)
     n = _dimension(obj, "n", "unitary")
-    m = _matrix_from_payload(obj, n, n, "unitary")
+    m = as_complex_matrix(_matrix_from_payload(obj, n, n, "unitary"), "unitary")
     defect = _unitarity_defect(m)
     if defect <= UNITARY_TOL:
         return m, 0.0

@@ -2,7 +2,8 @@
 
 Plain ``complex128`` numpy arrays are the universal carrier for states and
 operators; this module wraps the numpy factorizations with the conventions
-the rest of the toolkit relies on: a deterministic SVD phase convention,
+the rest of the toolkit relies on: an SVD with a deterministic phase
+convention, returned as the read-only ``SchmidtForm`` that a state caches,
 exactly Haar-distributed unitaries, and nullspace dimensions of real linear
 systems.
 """
@@ -62,17 +63,32 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(gram)))
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Factorization ``input = u @ rect_diag(sigma) @ v.conj().T``.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    ``u`` is rows x rows unitary, ``v`` is cols x cols unitary, ``sigma`` holds
-    the min(rows, cols) singular values sorted descending.
+
+@dataclass(frozen=True, eq=False)
+class SchmidtForm:
+    """SVD of a matrix psi arranged as ``psi = s1.T @ Sigma @ s2``.
+
+    Row k of ``s1`` holds the coordinates of the k-th Schmidt vector of
+    subsystem 1, row k of ``s2`` those of subsystem 2. ``sigma`` holds all
+    min(d1, d2) singular values, sorted descending; the rank is a tolerance
+    decision and belongs to ``cluster_spectrum``.
     """
 
-    u: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+
+    @property
+    def d1(self) -> int:
+        return self.s1.shape[0]
+
+    @property
+    def d2(self) -> int:
+        return self.s2.shape[0]
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -93,12 +109,14 @@ def _normalize_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.nda
     return u * col_phase.conj()[None, :], vh * row_phase[:, None]
 
 
-def svd(m) -> SvdResult:
-    """Full singular value decomposition with a deterministic phase convention.
+def svd(m) -> SchmidtForm:
+    """Full SVD ``m = u @ Sigma @ vh`` with a deterministic phase convention.
 
-    The phase convention (largest-modulus pivot of each left singular vector
-    made real positive) keeps repeated runs on identical input bit-identical,
-    which golden-file tests depend on.
+    The result is the read-only ``SchmidtForm`` with ``s1 = u.T`` and
+    ``s2 = vh``, so the singular vectors are the rows of two unitaries. The
+    phase convention (largest-modulus pivot of each left singular vector made
+    real positive) keeps repeated runs on identical input bit-identical, which
+    golden-file tests depend on.
     """
     a = as_complex_matrix(m)
     try:
@@ -106,7 +124,7 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
     u, vh = _normalize_phases(u, vh)
-    return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
+    return SchmidtForm(s1=_read_only(u.T), s2=_read_only(vh), sigma=_read_only(sigma))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -131,6 +131,13 @@ class TestApplyLocal:
         with pytest.raises(DimensionMismatch):
             apply_local(np.eye(3), np.eye(2), bell_state())
 
+    def test_overflowing_product_raises_without_a_numpy_warning(self):
+        big = 1e200 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_local(big, big, bell_state())
+
 
 class TestPartialTraces:
     def test_bell_reductions_maximally_mixed(self):

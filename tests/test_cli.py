@@ -28,6 +28,14 @@ def nondegenerate_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=["NaN", "Infinity"])
+def non_finite_unitary_file(tmp_path, request):
+    # Python's json reads these literals as floats; the reader must refuse them
+    path = tmp_path / "bad_u.json"
+    path.write_text(f'{{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, {request.param}]]}}')
+    return str(path)
+
+
 class TestAnalyze:
     def test_bell_report(self, bell_file, capsys):
         assert main(["analyze", bell_file, "--format", "json"]) == 0
@@ -102,6 +110,16 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("entry", ['"re": [[NaN, 0.8]], "im": [[0, 0]]',
+                                       '"re": [[0.6, 0.8]], "im": [[Infinity, 0]]'])
+    def test_non_finite_literal_exits_2(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"d1": 1, "d2": 2, {entry}}}')
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: psi contains non-finite entries\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
@@ -220,6 +238,14 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", bell_file, str(u), str(u), "--lenient"]) == 0
 
+    def test_non_finite_unitary_exits_2_even_when_lenient(self, bell_file,
+                                                          non_finite_unitary_file, capsys):
+        assert main(["verify", bell_file, non_finite_unitary_file, non_finite_unitary_file,
+                     "--lenient"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unitary contains non-finite entries\n"
+
     def test_env_var_overrides_default_tol(self, bell_file, tmp_path, capsys, monkeypatch):
         u1 = tmp_path / "u1.json"
         u2 = tmp_path / "u2.json"
@@ -254,6 +280,15 @@ class TestUndo:
         assert main(["undo", nondegenerate_file, str(u1), "--out", str(out)]) == 0
         u2, _ = read_unitary_file(str(out))
         np.testing.assert_allclose(u2, np.diag([np.exp(-0.4j), np.exp(0.9j)]), atol=1e-12)
+
+    def test_non_finite_unitary_exits_2(self, bell_file, non_finite_unitary_file, tmp_path,
+                                        capsys):
+        out = tmp_path / "never.json"
+        assert main(["undo", bell_file, non_finite_unitary_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unitary contains non-finite entries\n"
+        assert not out.exists()
 
     def test_cluster_mixing_exits_1_with_diagnostic(self, nondegenerate_file, tmp_path, capsys):
         u1 = tmp_path / "sx.json"

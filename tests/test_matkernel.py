@@ -30,15 +30,15 @@ class TestSvd:
         m = random_complex(rng, 3, 4)
         res = svd(m)
         # oracle: direct multiplication of the factors
-        rebuilt = res.u @ rect_diag(res.sigma, 3, 4) @ res.v.conj().T
+        rebuilt = res.s1.T @ rect_diag(res.sigma, 3, 4) @ res.s2
         assert np.max(np.abs(rebuilt - m)) <= 1e-12 * max(1.0, res.sigma[0])
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 3), (3, 5), (6, 6)])
     def test_factor_unitarity_and_ordering(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         res = svd(random_complex(rng, *shape))
-        assert unitarity_defect(res.u) <= 1e-12
-        assert unitarity_defect(res.v) <= 1e-12
+        assert unitarity_defect(res.s1.T) <= 1e-12
+        assert unitarity_defect(res.s2.conj().T) <= 1e-12
         assert np.all(np.diff(res.sigma) <= 0)
         assert np.all(res.sigma >= 0)
 
@@ -46,15 +46,15 @@ class TestSvd:
         rng = np.random.default_rng(5)
         m = random_complex(rng, 4, 4)
         a, b = svd(m), svd(m)
-        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.s1.T, b.s1.T)
         np.testing.assert_array_equal(a.sigma, b.sigma)
-        np.testing.assert_array_equal(a.v, b.v)
+        np.testing.assert_array_equal(a.s2.conj().T, b.s2.conj().T)
 
     def test_phase_convention_pivot_real_positive(self):
         rng = np.random.default_rng(6)
         res = svd(random_complex(rng, 3, 4))
-        for k in range(res.u.shape[1]):
-            col = res.u[:, k]
+        for k in range(res.s1.T.shape[1]):
+            col = res.s1.T[:, k]
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0
             assert abs(pivot.imag) <= 1e-14
@@ -91,8 +91,8 @@ class TestSvd:
             phase = pivot / abs(pivot)
             vh[k, :] = row * np.conj(phase)
         res = svd(a)
-        assert res.u.tobytes() == u.tobytes()
-        assert res.v.tobytes() == vh.conj().T.tobytes()
+        assert res.s1.T.tobytes() == u.tobytes()
+        assert res.s2.tobytes() == vh.tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

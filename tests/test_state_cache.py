@@ -86,7 +86,8 @@ def test_direct_construction_copies_too():
 def test_psi_and_schmidt_arrays_are_read_only():
     state = random_state(np.random.default_rng(1), 3, 4)
     schmidt = schmidt_decompose(state)
-    for a in (state.psi, schmidt.s1, schmidt.sigma):
+    fresh = svd(state.psi.copy())
+    for a in (state.psi, schmidt.s1, schmidt.sigma, fresh.s1, fresh.s2, fresh.sigma):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -107,8 +108,8 @@ def test_cached_decomposition_equals_a_fresh_svd(d1, d2):
     schmidt_decompose(state)  # fill the cache first
     form = schmidt_decompose(state)
     fresh = svd(state.psi.copy())
-    assert form.s1.tobytes() == fresh.u.T.tobytes()
-    assert form.s2.tobytes() == fresh.v.conj().T.tobytes()
+    assert form.s1.tobytes() == fresh.s1.tobytes()
+    assert form.s2.tobytes() == fresh.s2.tobytes()
     assert form.sigma.tobytes() == fresh.sigma.tobytes()
 
 
