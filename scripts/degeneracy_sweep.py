@@ -18,6 +18,8 @@ import argparse
 import numpy as np
 
 from uli import (
+    DEFAULT_DECISION_TOL,
+    DEFAULT_DEGENERACY_TOL,
     group_dimension,
     invariance_structure,
     lie_algebra_dimension,
@@ -33,8 +35,8 @@ def two_level_state(gap):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degeneracy-tol", type=float, default=1e-8)
-    parser.add_argument("--decision-tol", type=float, default=1e-10)
+    parser.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
+    parser.add_argument("--decision-tol", type=float, default=DEFAULT_DECISION_TOL)
     args = parser.parse_args()
 
     print(f"{'gap':>10}  {'blocks dim':>10}  {'oracle dim':>10}  agree")

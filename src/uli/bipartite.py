@@ -107,7 +107,7 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     return BipartiteState(psi=scaled, input_norm=norm)
 
 
-def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False) -> BipartiteState:
+def vec_to_matrix(amplitudes, d1: int, d2: int) -> BipartiteState:
     """Fold a length d1*d2 amplitude vector into a state, subsystem-1 index major."""
     vec = np.asarray(amplitudes, dtype=np.complex128)
     if vec.ndim != 1:
@@ -116,7 +116,7 @@ def vec_to_matrix(amplitudes, d1: int, d2: int, *, normalize: bool = False) -> B
         raise DimensionMismatch(
             f"expected {d1 * d2} amplitudes for a {d1}x{d2} state, got {vec.size}"
         )
-    return state_from_matrix(vec.reshape(d1, d2), normalize=normalize)
+    return state_from_matrix(vec.reshape(d1, d2))
 
 
 def matrix_to_vec(state: BipartiteState) -> np.ndarray:

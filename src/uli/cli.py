@@ -23,7 +23,6 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
     check_tolerance,
-    default_decision_tol,
 )
 from .errors import ToolkitError
 from .io import (
@@ -87,19 +86,17 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(parser, *, tol=False, structure=False, normalize=False,
-                fmt=False, lenient=False):
+def _add_common(parser, *, tol=False, structure=False, fmt=False, lenient=False):
     if structure:
         parser.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL,
                             help="relative cutoff separating zero singular values")
         parser.add_argument("--degeneracy-tol", type=_tolerance, default=DEFAULT_DEGENERACY_TOL,
                             help="relative gap below which singular values cluster")
     if tol:
-        parser.add_argument("--tol", type=_tolerance, default=None,
-                            help="decision tolerance (default 1e-10, or ULI_DEFAULT_TOL)")
-    if normalize:
-        parser.add_argument("--normalize", action="store_true",
-                            help="rescale a non-normalized input state")
+        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_DECISION_TOL,
+                            help="decision tolerance (default %(default)s)")
+    parser.add_argument("--normalize", action="store_true",
+                        help="rescale a non-normalized input state")
     if lenient:
         parser.add_argument("--lenient", action="store_true",
                             help="re-unitarize near-unitary input and report the correction")
@@ -114,7 +111,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="report the stabilizer structure of a state")
     p.add_argument("state", help="state file path, or - for stdin")
-    _add_common(p, tol=True, structure=True, normalize=True, fmt=True)
+    _add_common(p, tol=True, structure=True, fmt=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sample", help="draw invariant unitary pairs")
@@ -122,21 +119,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory for pair files")
-    _add_common(p, structure=True, normalize=True)
+    _add_common(p, structure=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="check whether a pair leaves a state invariant")
     p.add_argument("state", help="state file path, or - for stdin")
     p.add_argument("u1", help="unitary file for subsystem 1")
     p.add_argument("u2", help="unitary file for subsystem 2")
-    _add_common(p, tol=True, normalize=True, fmt=True, lenient=True)
+    _add_common(p, tol=True, fmt=True, lenient=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("undo", help="solve for the unitary undoing a local operation")
     p.add_argument("state", help="state file path, or - for stdin")
     p.add_argument("u1", help="unitary file for subsystem 1")
     p.add_argument("--out", required=True, help="output path for the solved unitary")
-    _add_common(p, tol=True, structure=True, normalize=True, lenient=True)
+    _add_common(p, tol=True, structure=True, lenient=True)
     p.set_defaults(func=cmd_undo)
 
     p = sub.add_parser("gen", help="write a test state file")
@@ -150,12 +147,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen)
 
     return parser
-
-
-def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    return default_decision_tol()
 
 
 def _analysis_payload(state, structure, gdim, odim) -> dict:
@@ -214,12 +205,11 @@ def _print_analysis_text(payload, structure, out) -> None:
 
 
 def cmd_analyze(args) -> int:
-    tol = _resolve_tol(args)
     state = read_state_file(args.state, normalize=args.normalize)
     structure = invariance_structure(state, rank_tol=args.rank_tol,
                                      degeneracy_tol=args.degeneracy_tol)
     gdim = group_dimension(structure)
-    odim = lie_algebra_dimension(state, tol=tol)
+    odim = lie_algebra_dimension(state, tol=args.tol)
     payload = _analysis_payload(state, structure, gdim, odim)
 
     agree = payload["oracle_agreement"]
@@ -256,13 +246,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _resolve_tol(args)
     state = read_state_file(args.state, normalize=args.normalize)
     u1, corr1 = read_unitary_file(args.u1, lenient=args.lenient)
     u2, corr2 = read_unitary_file(args.u2, lenient=args.lenient)
     pair = UnitaryPair(u1=u1, u2=u2)
-    check = is_invariant(pair, state, tol=tol)
-    comm = commutant_check(pair, state, tol=tol)
+    check = is_invariant(pair, state, tol=args.tol)
+    comm = commutant_check(pair, state, tol=args.tol)
 
     if args.format == "json":
         payload = {
@@ -272,7 +261,7 @@ def cmd_verify(args) -> int:
             "commutant_residual_2": comm.residual2,
             "commutant_ok_1": comm.side1,
             "commutant_ok_2": comm.side2,
-            "tolerance": tol,
+            "tolerance": args.tol,
             "unitarity_correction_u1": corr1,
             "unitarity_correction_u2": corr2,
         }
@@ -283,20 +272,19 @@ def cmd_verify(args) -> int:
         print(f"commutant residual side 2: {comm.residual2:.6e}")
         if corr1 > 0 or corr2 > 0:
             print(f"unitarity corrections: u1 {corr1:.3e}, u2 {corr2:.3e}")
-        print(f"tolerance: {tol:.1e}")
+        print(f"tolerance: {args.tol:.1e}")
         print(f"invariant: {'yes' if check.invariant else 'no'}")
     return EXIT_OK if check.invariant else EXIT_NEGATIVE
 
 
 def cmd_undo(args) -> int:
-    tol = _resolve_tol(args)
     state = read_state_file(args.state, normalize=args.normalize)
     u1, _ = read_unitary_file(args.u1, lenient=args.lenient)
-    result = undo_operator(u1, state, tol=tol, rank_tol=args.rank_tol,
+    result = undo_operator(u1, state, tol=args.tol, rank_tol=args.rank_tol,
                            degeneracy_tol=args.degeneracy_tol)
     if isinstance(result, NoSolution):
         print(f"no undo exists: off-block mass {result.off_block_mass:.6e} "
-              f"exceeds tolerance {tol:.1e}")
+              f"exceeds tolerance {args.tol:.1e}")
         return EXIT_NEGATIVE
     write_unitary_file(args.out, result.u2)
     print(f"wrote undo unitary to {args.out}")

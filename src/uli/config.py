@@ -8,7 +8,6 @@ values here are only the documented defaults.
 from __future__ import annotations
 
 import math
-import os
 
 #: Accepted deviation of the Hilbert-Schmidt norm from one when validating states.
 DEFAULT_NORM_TOL = 1e-10
@@ -26,9 +25,6 @@ DEFAULT_DECISION_TOL = 1e-10
 #: Max-entry unitarity defect accepted for unitaries read or passed in.
 UNITARY_TOL = 1e-10
 
-#: Environment variable overriding the default decision tolerance in the CLI.
-TOL_ENV_VAR = "ULI_DEFAULT_TOL"
-
 
 def check_tolerance(value, name: str) -> float:
     """Return ``value`` as a float; raise ValueError unless finite and non-negative."""
@@ -36,14 +32,3 @@ def check_tolerance(value, name: str) -> float:
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return tol
-
-
-def default_decision_tol() -> float:
-    """Decision tolerance honoring the ULI_DEFAULT_TOL environment variable.
-
-    Raises ValueError unless the variable holds a finite non-negative number.
-    """
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DECISION_TOL
-    return check_tolerance(raw, TOL_ENV_VAR)

@@ -97,6 +97,8 @@ def read_state_file(source: str, *, normalize: bool = False) -> BipartiteState:
 
 def write_unitary_file(path: str, u: np.ndarray) -> None:
     m = as_complex_matrix(u, "u")
+    if m.shape[0] != m.shape[1]:  # read_unitary_file would refuse the file
+        raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")
     obj = {"n": m.shape[0]}
     obj.update(_matrix_payload(m))
     _dump(obj, path)

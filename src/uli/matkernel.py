@@ -39,11 +39,12 @@ def as_square_matrix(a, name: str, n: int) -> np.ndarray:
 
 
 def rect_diag(values, rows: int, cols: int) -> np.ndarray:
-    """Rectangular rows x cols matrix with ``values`` on the main diagonal."""
+    """Rectangular rows x cols matrix with ``values`` on the main diagonal, zero-filled."""
     v = np.asarray(values, dtype=np.complex128).ravel()
+    if v.size > min(rows, cols):
+        raise DimensionMismatch(f"{v.size} diagonal values do not fit a {rows}x{cols} matrix")
     out = np.zeros((rows, cols), dtype=np.complex128)
-    k = min(v.size, rows, cols)
-    out[np.arange(k), np.arange(k)] = v[:k]
+    out[np.arange(v.size), np.arange(v.size)] = v
     return out
 
 

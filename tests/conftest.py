@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from uli import random_state_with_spectrum
 
@@ -52,3 +53,11 @@ def fuzz_state(rng, lo=2, hi=6):
     rank = int(rng.integers(1, min(d1, d2) + 1))
     sigma, mults = clustered_spectrum(rng, rank)
     return random_state_with_spectrum(sigma, d1, d2, rng), sigma, mults
+
+
+@pytest.fixture
+def failing_svd(monkeypatch):
+    """Make every numpy SVD raise LinAlgError, as LAPACK does when it fails to converge."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)

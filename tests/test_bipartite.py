@@ -80,7 +80,7 @@ class TestVecMatrix:
         assert excinfo.value.norm == pytest.approx(np.sqrt(2))
 
     def test_normalize_flag_records_input_norm(self):
-        state = vec_to_matrix(np.array([2.0, 0, 0, 0]), 2, 2, normalize=True)
+        state = state_from_matrix(np.array([[2.0, 0], [0, 0]]), normalize=True)
         assert state.input_norm == pytest.approx(2.0)
         assert np.linalg.norm(state.psi) == pytest.approx(1.0)
 

@@ -121,6 +121,12 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == "error: psi contains non-finite entries\n"
 
+    def test_svd_failure_exits_2(self, bell_file, capsys, failing_svd):
+        assert main(["analyze", bell_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SVD did not converge")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().out == ""
@@ -155,14 +161,6 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
-
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-    def test_bad_env_tolerance_is_input_error(self, bell_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("ULI_DEFAULT_TOL", value)
-        assert main(["analyze", bell_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "ULI_DEFAULT_TOL" in captured.err
 
 
 class TestSample:
@@ -246,7 +244,8 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: unitary contains non-finite entries\n"
 
-    def test_env_var_overrides_default_tol(self, bell_file, tmp_path, capsys, monkeypatch):
+    def test_only_the_tol_flag_sets_the_decision_tolerance(self, bell_file, tmp_path, capsys,
+                                                            monkeypatch):
         u1 = tmp_path / "u1.json"
         u2 = tmp_path / "u2.json"
         # slightly off-invariant pair: phases differing at the 1e-6 level
@@ -254,12 +253,12 @@ class TestVerify:
         write_unitary_file(str(u1), np.diag([np.exp(1j * eps), 1.0]))
         write_unitary_file(str(u2), np.eye(2, dtype=complex))
         assert main(["verify", bell_file, str(u1), str(u2)]) == 1
+        assert main(["verify", bell_file, str(u1), str(u2), "--tol", "1e-3"]) == 0
         capsys.readouterr()
+        # an environment variable is no second way to set the default
         monkeypatch.setenv("ULI_DEFAULT_TOL", "1e-3")
-        assert main(["verify", bell_file, str(u1), str(u2)]) == 0
-        capsys.readouterr()
-        # explicit flag beats the environment
-        assert main(["verify", bell_file, str(u1), str(u2), "--tol", "1e-10"]) == 1
+        assert main(["verify", bell_file, str(u1), str(u2)]) == 1
+        assert "tolerance: 1.0e-10" in capsys.readouterr().out
 
 
 class TestUndo:

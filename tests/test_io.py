@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_complex
-from uli import NotNormalized, NotUnitary, haar_unitary, state_from_matrix, unitarity_defect
+from uli import (
+    DimensionMismatch,
+    NotNormalized,
+    NotUnitary,
+    haar_unitary,
+    state_from_matrix,
+    unitarity_defect,
+)
 from uli.cli import main
 from uli.io import read_state_file, read_unitary_file, write_state_file, write_unitary_file
 
@@ -65,6 +72,13 @@ def test_unitary_round_trip(tmp_path):
     back, correction = read_unitary_file(str(path))
     np.testing.assert_array_equal(back, u)
     assert correction == 0.0
+
+
+def test_non_square_unitary_is_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "u.json"
+    with pytest.raises(DimensionMismatch, match="square"):
+        write_unitary_file(str(path), np.ones((2, 3)))
+    assert not path.exists()
 
 
 def test_unitary_rejected_beyond_tolerance(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex
 from uli import (
+    ConvergenceFailure,
     DimensionMismatch,
     haar_unitary,
     real_nullspace_dimension,
@@ -14,6 +15,7 @@ from uli import (
     svd,
     unitarity_defect,
 )
+from uli.matkernel import singular_values
 
 
 class TestSvd:
@@ -106,6 +108,11 @@ class TestSvd:
         with pytest.raises(ValueError, match="2-dimensional"):
             svd(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("func", [svd, singular_values])
+    def test_lapack_failure_is_a_convergence_failure(self, failing_svd, func):
+        with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
+            func(np.eye(2))
+
 
 def test_unitarity_defect_rejects_non_square():
     with pytest.raises(DimensionMismatch, match="square"):
@@ -145,6 +152,8 @@ class TestRectDiag:
         np.testing.assert_array_equal(
             rect_diag([1], 3, 2), np.array([[1, 0], [0, 0], [0, 0]], dtype=complex)
         )
+        with pytest.raises(DimensionMismatch, match="3 diagonal values"):
+            rect_diag([1, 2, 3], 2, 2)
 
 
 class TestRealNullspaceDimension:
@@ -185,6 +194,15 @@ class TestRealNullspaceDimension:
         rng = np.random.default_rng(10)
         m = rng.standard_normal((3, 7))
         assert real_nullspace_dimension(m) == 4
+
+    @pytest.mark.parametrize("coeffs, message", [
+        (np.ones(3), "2-d"),
+        (np.zeros((0, 3)), "non-empty"),
+        (np.array([[1.0, np.nan]]), "non-finite"),
+    ])
+    def test_rejects_bad_coefficients(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            real_nullspace_dimension(coeffs)
 
 
 def _defect_with_eye(m):
