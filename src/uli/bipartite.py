@@ -32,10 +32,6 @@ from .matkernel import (
 )
 
 
-# numpy's sum adds up to 7 values left to right and more pairwise
-_COLUMNS = np.arange(7)
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Coefficient matrix of a bipartite pure state.
@@ -86,7 +82,8 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
     Non-normalized input is rejected unless ``normalize`` is set, in which
     case it is rescaled and the measured norm recorded; silent rescaling by
     default would hide caller bugs. A rescaling that does not land on unit
-    norm (the norm overflowed, or the entries are subnormal) is refused.
+    norm (the norm overflowed or underflowed, or the entries are subnormal)
+    is refused.
     """
     m = as_complex_matrix(psi, "psi")
     # an overflowing or subnormal norm is refused below; numpy's warning would only add noise
@@ -96,8 +93,11 @@ def state_from_matrix(psi, *, normalize: bool = False) -> BipartiteState:
         return BipartiteState(psi=m, input_norm=norm)
     if not normalize:
         raise NotNormalized(norm)
-    if norm == 0.0:
+    if not m.any():
         raise NotNormalized(norm, "cannot normalize the zero matrix")
+    if norm == 0.0:
+        raise NotNormalized(norm, "cannot normalize: the Hilbert-Schmidt norm of a "
+                                  "non-zero matrix underflows to 0.0")
     scaled = m / norm
     with np.errstate(over="ignore", under="ignore"):
         rescaled = float(np.linalg.norm(scaled))
@@ -193,23 +193,6 @@ def _check_finite_nonnegative(s: np.ndarray) -> None:
         raise BadSpectrum("singular values must be finite and non-negative")
 
 
-def _cluster_means(support: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mean of each cluster, with the bits of ``support[a:b].mean()``.
-
-    numpy sums fewer than 8 values left to right from 0.0, so a running sum
-    along the rows of the clusters, zero-padded to at most 7 columns, makes
-    the same additions (adding 0.0 changes no bit). From 8 values on numpy
-    sums pairwise; those clusters take ``mean()`` itself.
-    """
-    cols = _COLUMNS[:int(sizes.max(initial=1))]
-    padded = np.where(cols < sizes[:, None],
-                      np.take(support, starts[:, None] + cols, mode="clip"), 0.0)
-    means = np.add.accumulate(padded, axis=1)[:, -1] / sizes
-    for k in np.flatnonzero(sizes > _COLUMNS.size):
-        means[k] = support[starts[k]:starts[k] + sizes[k]].mean()
-    return means
-
-
 def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
                      degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
                      dims: tuple[int, int] | None = None) -> DegeneracySpectrum:
@@ -242,7 +225,9 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
     np.greater(support[:-1] - support[1:], gap_cut, out=is_edge[1:-1])
     edges = np.flatnonzero(is_edge)
     starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-    means = _cluster_means(support, starts, sizes)
+    means = support[starts]  # the mean of one value is that value
+    for k in np.flatnonzero(sizes > 1):
+        means[k] = support[starts[k]:starts[k] + sizes[k]].mean()
     clusters = tuple(zip(means.tolist(), sizes.tolist()))
     return DegeneracySpectrum(clusters=clusters, rank=rank, null_dims=(d1 - rank, d2 - rank))
 

@@ -84,7 +84,6 @@ class TestVecMatrix:
         assert state.input_norm == pytest.approx(2.0)
         assert np.linalg.norm(state.psi) == pytest.approx(1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-160])
     def test_normalize_refuses_overflowing_or_subnormal_norm(self, scale):
         # at 1e200 the norm overflows to inf and the state would rescale to
@@ -96,6 +95,11 @@ class TestVecMatrix:
     def test_normalize_refuses_the_zero_matrix(self):
         with pytest.raises(NotNormalized, match="cannot normalize the zero matrix"):
             state_from_matrix(np.zeros((2, 2)), normalize=True)
+
+    def test_normalize_names_an_underflowing_norm(self):
+        # a non-zero matrix whose squared entries underflow is not the zero matrix
+        with pytest.raises(NotNormalized, match="non-zero matrix underflows to 0.0"):
+            state_from_matrix(np.full((2, 2), 1e-170), normalize=True)
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_overflowing_norm_raises_without_a_numpy_warning(self, normalize):

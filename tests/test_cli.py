@@ -82,7 +82,6 @@ class TestAnalyze:
         ))
         assert main(["analyze", str(path), "--normalize"]) == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-160])
     def test_normalize_refuses_overflowing_or_subnormal_norm(self, tmp_path, capsys, scale):
         path = tmp_path / "extreme.json"
@@ -94,6 +93,17 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot normalize" in captured.err
+
+    def test_normalize_names_an_underflowing_norm(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(
+            {"d1": 2, "d2": 2, "re": [[1e-170, 1e-170], [1e-170, 1e-170]],
+             "im": [[0, 0], [0, 0]]}
+        ))
+        assert main(["analyze", str(path), "--normalize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-zero matrix underflows to 0.0" in captured.err
 
     @pytest.mark.parametrize("flags, message", [
         ([], "state is not normalized: measured norm inf"),
@@ -236,6 +246,14 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", bell_file, str(u), str(u), "--lenient"]) == 0
 
+    def test_singular_unitary_exits_2_even_when_lenient(self, bell_file, tmp_path, capsys):
+        zero = tmp_path / "zero.json"
+        write_unitary_file(str(zero), np.zeros((2, 2)))
+        assert main(["verify", bell_file, str(zero), str(zero), "--lenient"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "singular" in captured.err
+
     def test_non_finite_unitary_exits_2_even_when_lenient(self, bell_file,
                                                           non_finite_unitary_file, capsys):
         assert main(["verify", bell_file, non_finite_unitary_file, non_finite_unitary_file,
@@ -287,6 +305,16 @@ class TestUndo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unitary contains non-finite entries\n"
+        assert not out.exists()
+
+    def test_singular_unitary_exits_2_even_when_lenient(self, bell_file, tmp_path, capsys):
+        zero = tmp_path / "zero.json"
+        out = tmp_path / "never.json"
+        write_unitary_file(str(zero), np.zeros((2, 2)))
+        assert main(["undo", bell_file, str(zero), "--out", str(out), "--lenient"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "singular" in captured.err
         assert not out.exists()
 
     def test_cluster_mixing_exits_1_with_diagnostic(self, nondegenerate_file, tmp_path, capsys):

@@ -98,6 +98,15 @@ def test_lenient_reunitarizes_and_reports_correction(tmp_path):
     assert correction == pytest.approx(scale - 1, rel=1e-6)
 
 
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+def test_lenient_refuses_a_singular_matrix(tmp_path, m):
+    # the polar factor of a singular matrix is not unique, so there is no nearest unitary
+    path = tmp_path / "singular.json"
+    write_unitary_file(str(path), m)
+    with pytest.raises(NotUnitary, match="singular"):
+        read_unitary_file(str(path), lenient=True)
+
+
 def test_deterministic_bytes(tmp_path):
     state = state_from_matrix(np.eye(3, dtype=complex) / np.sqrt(3))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
