@@ -163,7 +163,8 @@ def _analysis_payload(state, structure, gdim, odim) -> dict:
         "min_spectral_gap": spectrum.min_gap(),
         "null_dims": list(spectrum.null_dims),
         "support_blocks": [
-            {"start": b.start, "size": b.size, "value": b.value} for b in structure.blocks
+            {"start": b.start, "size": b.size, "value": v}
+            for b, (v, _) in zip(structure.blocks, spectrum.clusters)
         ],
         "coupling_rule": "side-2 support blocks are the conjugates of the side-1 blocks; "
                          "null blocks are free and independent",

@@ -52,7 +52,6 @@ class SupportBlock:
 
     start: int
     size: int
-    value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +68,6 @@ class InvarianceStructure:
     schmidt: SchmidtForm
     spectrum: DegeneracySpectrum
     blocks: tuple[SupportBlock, ...]
-
-    @property
-    def d1(self) -> int:
-        return self.schmidt.d1
-
-    @property
-    def d2(self) -> int:
-        return self.schmidt.d2
 
     @property
     def rank(self) -> int:
@@ -145,27 +136,27 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     )
     blocks = []
     start = 0
-    for value, mult in spectrum.clusters:
-        blocks.append(SupportBlock(start=start, size=mult, value=value))
+    for _, mult in spectrum.clusters:
+        blocks.append(SupportBlock(start=start, size=mult))
         start += mult
     structure = InvarianceStructure(schmidt=schmidt, spectrum=spectrum, blocks=tuple(blocks))
     object.__setattr__(state, "_structure", (key, structure))
     return structure
 
 
-def _block_diagonal(structure: InvarianceStructure, dim: int, blocks,
-                    null: np.ndarray | None) -> np.ndarray:
-    """dim x dim Schmidt-basis matrix allowed by the stabilizer pattern.
+def _block_diagonal(structure: InvarianceStructure, blocks, null: np.ndarray) -> np.ndarray:
+    """Square Schmidt-basis matrix allowed by the stabilizer pattern.
 
     ``blocks`` go on the support blocks of ``structure.blocks`` in order,
     ``null`` on the null block from ``structure.rank`` on; all else is zero.
+    The size is ``structure.rank + len(null)``, so ``null`` may be 0 x 0.
     """
-    r = np.zeros((dim, dim), dtype=np.complex128)
+    rank = structure.rank
+    r = np.zeros((rank + len(null),) * 2, dtype=np.complex128)
     for block, w in zip(structure.blocks, blocks):
         sl = slice(block.start, block.start + block.size)
         r[sl, sl] = w
-    if null is not None:
-        r[structure.rank:, structure.rank:] = null
+    r[rank:, rank:] = null
     return r
 
 
@@ -178,10 +169,10 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     """
     ws = [haar_unitary(block.size, rng) for block in structure.blocks]
     n1, n2 = structure.null_dims
-    null1 = haar_unitary(n1, rng) if n1 else None
-    null2 = haar_unitary(n2, rng) if n2 else None
-    r1 = _block_diagonal(structure, structure.d1, ws, null1)
-    r2 = _block_diagonal(structure, structure.d2, [w.conj() for w in ws], null2)
+    null1 = haar_unitary(n1, rng) if n1 else np.zeros((0, 0))
+    null2 = haar_unitary(n2, rng) if n2 else np.zeros((0, 0))
+    r1 = _block_diagonal(structure, ws, null1)
+    r2 = _block_diagonal(structure, [w.conj() for w in ws], null2)
     s1, s2 = structure.schmidt.s1, structure.schmidt.s2
     return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
 
@@ -190,12 +181,17 @@ def is_invariant(pair: UnitaryPair, state: BipartiteState,
                  tol: float = DEFAULT_DECISION_TOL) -> InvarianceCheck:
     """Decide ``u1 @ psi @ u2.T == psi`` by the max-entry residual.
 
-    Strict equality is required, not equality up to a global phase.
+    Strict equality is required, not equality up to a global phase. A
+    product that overflows has the residual ``inf``.
     """
     tol = check_tolerance(tol, "tol")
     u1 = as_square_matrix(pair.u1, "u1", state.d1)
     u2 = as_square_matrix(pair.u2, "u2", state.d2)
-    residual = float(np.max(np.abs(u1 @ state.psi @ u2.T - state.psi)))
+    # an overflowing product is reported as inf below; numpy's warning would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(u1 @ state.psi @ u2.T - state.psi)))
+    if not np.isfinite(residual):
+        residual = np.inf
     return InvarianceCheck(invariant=residual <= tol, residual=residual)
 
 
@@ -240,13 +236,12 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
 
     rank = structure.rank
     support = [r1[b.start:b.start + b.size, b.start:b.start + b.size] for b in structure.blocks]
-    allowed = _block_diagonal(structure, state.d1, support, r1[rank:, rank:])
+    allowed = _block_diagonal(structure, support, r1[rank:, rank:])
     off_mass = float(np.max(np.abs(r1 - allowed)))
     if off_mass > tol:
         return NoSolution(off_block_mass=off_mass)
 
-    r2 = _block_diagonal(structure, state.d2, [w.conj() for w in support],
-                         np.eye(state.d2 - rank))
+    r2 = _block_diagonal(structure, [w.conj() for w in support], np.eye(state.d2 - rank))
     return UnitaryPair(u1=m1, u2=s2.T @ r2 @ s2.conj())
 
 

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import uli.cli
 from uli.cli import main
 from uli.io import read_unitary_file, write_state_file, write_unitary_file
-from uli import state_from_matrix
+from uli import UnitaryPair, state_from_matrix
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -198,6 +199,25 @@ class TestSample:
             u2, _ = read_unitary_file(str(out / f"pair{i:03d}.u2.json"))
             # bell schmidt basis is the computational basis, so u2 == conj(u1)
             np.testing.assert_allclose(u2, u1.conj(), atol=1e-12)
+
+    def test_pair_failing_reverification_exits_3(self, bell_file, tmp_path, capsys,
+                                                  monkeypatch):
+        real = uli.cli.sample_invariant_pair
+        draws = []
+
+        def second_draw_broken(structure, rng):
+            pair = real(structure, rng)
+            draws.append(pair)
+            # -u1 with u2 maps psi to -psi: a global phase, which is not invariance
+            return UnitaryPair(-pair.u1, pair.u2) if len(draws) == 2 else pair
+
+        monkeypatch.setattr(uli.cli, "sample_invariant_pair", second_draw_broken)
+        out = tmp_path / "pairs"
+        assert main(["sample", bell_file, "--count", "3", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampled pair 1 fails re-verification" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["pair000.u1.json", "pair000.u2.json"]
 
     def test_count_zero_is_usage_error(self, bell_file, tmp_path, capsys):
         code = main(["sample", bell_file, "--count", "0", "--out", str(tmp_path / "x")])

@@ -9,6 +9,7 @@ from uli import (
     NoSolution,
     NotUnitary,
     UnitaryPair,
+    apply_local,
     commutant_check,
     group_dimension,
     haar_unitary,
@@ -189,6 +190,15 @@ class TestIsInvariant:
         with pytest.raises(DimensionMismatch):
             is_invariant(UnitaryPair(np.eye(3), np.eye(2)), bell_state())
 
+    def test_overflowing_product_has_inf_residual_and_no_warning(self):
+        # the suite turns warnings into errors, so numpy's overflow warning would fail here
+        rng = np.random.default_rng(61)
+        state = random_state_with_spectrum(distinct_spectrum(rng, 3), 3, 3, rng)
+        big = 1e200 * np.eye(3)
+        check = is_invariant(UnitaryPair(big, big), state)
+        assert not check.invariant
+        assert check.residual == np.inf
+
 
 class TestCommutantCheck:
     def test_sampled_pairs_commute_with_reductions(self):
@@ -329,3 +339,38 @@ class TestGroupDimension:
         for _ in range(50):
             state, _, _ = fuzz_state(rng)
             assert group_dimension(invariance_structure(state)) == lie_algebra_dimension(state)
+
+
+class TestLocalUnitaryOrbit:
+    """Answers along the orbit psi -> a @ psi @ b.T of Haar local unitaries (a, b).
+
+    The planted spectra keep relative cluster gaps of at least 0.1, far from every
+    tolerance, so the structure is invariant and ``undo`` is covariant: with the
+    identity null completion u2 is unique given u1 and psi, and
+    (a u1 a^dag, b u2 b^dag) is the solution for psi'. Corpus, seed and the 1e-12
+    bounds were fixed before the first run.
+    """
+
+    def test_structure_is_invariant_and_undo_covariant(self):
+        rng = np.random.default_rng(31415)
+        for _ in range(300):
+            state, _, _ = fuzz_state(rng, lo=1, hi=6)
+            a, b = haar_unitary(state.d1, rng), haar_unitary(state.d2, rng)
+            moved = apply_local(a, b, state)
+            structure = invariance_structure(state)
+            moved_structure = invariance_structure(moved)
+
+            clusters = structure.spectrum.clusters
+            moved_clusters = moved_structure.spectrum.clusters
+            assert moved_structure.rank == structure.rank
+            assert [m for _, m in moved_clusters] == [m for _, m in clusters]
+            assert moved_structure.null_dims == structure.null_dims
+            assert group_dimension(moved_structure) == group_dimension(structure)
+            assert lie_algebra_dimension(moved) == lie_algebra_dimension(state)
+            for (v, _), (w, _) in zip(clusters, moved_clusters):
+                assert abs(v - w) <= 1e-12
+
+            u1 = sample_invariant_pair(structure, rng).u1
+            u2 = undo_operator(u1, state).u2
+            moved_u2 = undo_operator(a @ u1 @ a.conj().T, moved).u2
+            assert np.max(np.abs(moved_u2 - b @ u2 @ b.conj().T)) <= 1e-12

@@ -139,6 +139,17 @@ class TestHaarUnitary:
         stderr = np.sqrt(1.0 / 12.0 / samples.size)
         assert abs(samples.mean() - 0.5) <= 3 * stderr
 
+    def test_trace_moments(self):
+        # Diaconis & Shahshahani (1994): E|tr U|^(2k) = k! on U(n) for n >= k, so on
+        # U(4) |tr U|^2 has mean 1 and variance 2! - 1 = 1, and |tr U|^4 has mean 2
+        # and variance 4! - 2!^2 = 20. Both sample means over 10^4 draws sit within
+        # 5 standard errors. Unlike |U_00|, the trace sees the phase of every column.
+        rng = np.random.default_rng(2024)
+        n_draws = 10_000
+        t2 = np.array([abs(np.trace(haar_unitary(4, rng))) ** 2 for _ in range(n_draws)])
+        assert abs(t2.mean() - 1.0) <= 5 * np.sqrt(1.0 / n_draws)
+        assert abs((t2**2).mean() - 2.0) <= 5 * np.sqrt(20.0 / n_draws)
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             haar_unitary(0, np.random.default_rng(0))
