@@ -177,6 +177,14 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
 
 
+def _residual(difference) -> float:
+    """Max-entry modulus of ``difference()``; ``inf`` when a product in it overflows."""
+    # an overflowing product is reported as inf below; numpy's warning would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(difference())))
+    return residual if np.isfinite(residual) else np.inf
+
+
 def is_invariant(pair: UnitaryPair, state: BipartiteState,
                  tol: float = DEFAULT_DECISION_TOL) -> InvarianceCheck:
     """Decide ``u1 @ psi @ u2.T == psi`` by the max-entry residual.
@@ -187,11 +195,7 @@ def is_invariant(pair: UnitaryPair, state: BipartiteState,
     tol = check_tolerance(tol, "tol")
     u1 = as_square_matrix(pair.u1, "u1", state.d1)
     u2 = as_square_matrix(pair.u2, "u2", state.d2)
-    # an overflowing product is reported as inf below; numpy's warning would only add noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(u1 @ state.psi @ u2.T - state.psi)))
-    if not np.isfinite(residual):
-        residual = np.inf
+    residual = _residual(lambda: u1 @ state.psi @ u2.T - state.psi)
     return InvarianceCheck(invariant=residual <= tol, residual=residual)
 
 
@@ -200,15 +204,16 @@ def commutant_check(pair: UnitaryPair, state: BipartiteState,
     """Per-side commutator test against the reduced operators.
 
     Vanishing commutators are necessary for invariance but not sufficient:
-    a maximally mixed reduction commutes with every unitary.
+    a maximally mixed reduction commutes with every unitary. A commutator
+    whose products overflow has the residual ``inf``.
     """
     tol = check_tolerance(tol, "tol")
     u1 = as_square_matrix(pair.u1, "u1", state.d1)
     u2 = as_square_matrix(pair.u2, "u2", state.d2)
     rho1 = partial_trace_2(state)
     rho2 = partial_trace_1(state)
-    res1 = float(np.max(np.abs(u1 @ rho1 - rho1 @ u1)))
-    res2 = float(np.max(np.abs(u2 @ rho2 - rho2 @ u2)))
+    res1 = _residual(lambda: u1 @ rho1 - rho1 @ u1)
+    res2 = _residual(lambda: u2 @ rho2 - rho2 @ u2)
     return CommutantCheck(side1=res1 <= tol, side2=res2 <= tol, residual1=res1, residual2=res2)
 
 
@@ -253,12 +258,9 @@ def group_dimension(structure: InvarianceStructure) -> int:
 
 def _linearized_spectrum(sigma: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """The 2*d1*d2 singular values of the oracle's map, unsorted; see ``lie_algebra_dimension``."""
-    m = sigma.size
-    k = np.arange(m)
-    i, j = np.nonzero(k[:, None] < k)  # the pairs i < j
-    pairs = np.concatenate([sigma[i] + sigma[j], np.abs(sigma[i] - sigma[j])]) / np.sqrt(2.0)
-    return np.concatenate([np.repeat(pairs, 2), np.sqrt(2.0) * sigma, np.zeros(m),
-                           np.repeat(sigma / np.sqrt(2.0), 2 * (d1 + d2 - 2 * m))])
+    pairs = [np.add.outer(sigma, sigma), np.abs(np.subtract.outer(sigma, sigma))]
+    single = np.repeat(sigma, 2 * (d1 + d2 - 2 * sigma.size))
+    return np.concatenate([*pairs, single], axis=None) / np.sqrt(2.0)
 
 
 def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_TOL) -> int:
@@ -267,14 +269,14 @@ def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_T
     Generators (x1, x2) of invariant one-parameter groups solve
     ``L(x1, x2) = x1 @ psi + psi @ x2.T == 0`` over anti-Hermitian matrices.
     In orthonormal real coordinates rotated into the Schmidt basis, L has the
-    singular values (s_i + s_j)/sqrt2 and |s_i - s_j|/sqrt2 twice per pair
-    i < j of the m singular values s of psi, and per value sqrt2*s_i, a zero
-    and s_i/sqrt2 2*(d1 + d2 - 2m) times; the dimension is d1^2 + d2^2 minus
-    their ``numerical_rank``. Only the values s are shared with the structure
-    path, read from the state's cached Schmidt form; the decision is a cutoff
-    per pair, with no rank cutoff or clustering. Against a basis whose
-    off-diagonal elements have norm sqrt2, a decision can differ only for a
-    value within a factor of 2 of the cutoff.
+    singular values (s_i + s_j)/sqrt2 and |s_i - s_j|/sqrt2 for every ordered
+    pair (i, j) of the m singular values s of psi, i = j included, and
+    s_i/sqrt2 2*(d1 + d2 - 2m) times per value; the dimension is d1^2 + d2^2
+    minus their ``numerical_rank``. Only the values s are shared with the
+    structure path, read from the state's cached Schmidt form; the decision is
+    a cutoff per pair, with no rank cutoff or clustering. Against a basis
+    whose off-diagonal elements have norm sqrt2, a decision can differ only
+    for a value within a factor of 2 of the cutoff.
     """
     tol = check_tolerance(tol, "tol")
     spectrum = _linearized_spectrum(schmidt_decompose(state).sigma, state.d1, state.d2)

@@ -71,11 +71,14 @@ def _dump(obj: dict, path: str) -> None:
 
 
 def _load(source: str) -> dict:
-    if source == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            obj = json.load(fh)
+    try:
+        if source == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValueError("JSON is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object at top level")
     return obj

@@ -150,6 +150,15 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == "error: expected a JSON object at top level\n"
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # the JSON decoder recurses once per level and raises RecursionError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON is nested too deeply\n"
+
     def test_near_degenerate_tolerance_mismatch_exits_3(self, tmp_path, capsys):
         # gap below the clustering tolerance but above the oracle's rank
         # cutoff: the two dimension counts legitimately disagree
@@ -281,6 +290,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: unitary contains non-finite entries\n"
+
+    def test_deeply_nested_unitary_exits_2(self, bell_file, tmp_path, capsys):
+        path = tmp_path / "nested_u.json"
+        nested = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"n": 2, "re": {nested}, "im": [[0, 0], [0, 0]]}}')
+        assert main(["verify", bell_file, str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON is nested too deeply\n"
 
     def test_only_the_tol_flag_sets_the_decision_tolerance(self, bell_file, tmp_path, capsys,
                                                             monkeypatch):

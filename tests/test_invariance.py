@@ -225,6 +225,16 @@ class TestCommutantCheck:
         # [sigma_x, diag(0.8, 0.2)] has entries of size 0.6
         assert comm.residual1 == pytest.approx(0.6)
 
+    def test_overflowing_commutator_has_inf_residual_and_no_warning(self):
+        # entries of rho1 are at most 1, but a column of |rho1| sums to about 1.21,
+        # so 1.7e308 times it overflows; the suite turns numpy's warning into an error
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        state = state_from_matrix(np.array([[c, 0], [s, 0]], dtype=complex))
+        comm = commutant_check(UnitaryPair(np.full((2, 2), 1.7e308), np.eye(2)), state)
+        assert not comm.side1 and comm.side2
+        assert comm.residual1 == np.inf
+        assert comm.residual2 == 0.0
+
 
 class TestUndoOperator:
     def test_bell_hadamard(self):
@@ -374,3 +384,27 @@ class TestLocalUnitaryOrbit:
             u2 = undo_operator(u1, state).u2
             moved_u2 = undo_operator(a @ u1 @ a.conj().T, moved).u2
             assert np.max(np.abs(moved_u2 - b @ u2 @ b.conj().T)) <= 1e-12
+
+    def test_sample_covariant_and_transposition_swaps_sides(self):
+        # a pair sampled for psi, conjugated by (a, b), verifies on a @ psi @ b.T; on psi.T
+        # the sides swap. Corpus, seed and bounds were fixed before the first run.
+        rng = np.random.default_rng(27182)
+        for _ in range(300):
+            state, _, _ = fuzz_state(rng, lo=1, hi=6)
+            a, b = haar_unitary(state.d1, rng), haar_unitary(state.d2, rng)
+            structure = invariance_structure(state)
+            pair = sample_invariant_pair(structure, rng)
+            moved = UnitaryPair(a @ pair.u1 @ a.conj().T, b @ pair.u2 @ b.conj().T)
+            assert is_invariant(moved, apply_local(a, b, state)).invariant
+
+            transposed = state_from_matrix(state.psi.T)
+            t_structure = invariance_structure(transposed)
+            clusters = structure.spectrum.clusters
+            t_clusters = t_structure.spectrum.clusters
+            assert [m for _, m in t_clusters] == [m for _, m in clusters]
+            assert t_structure.null_dims == structure.null_dims[::-1]
+            assert group_dimension(t_structure) == group_dimension(structure)
+            assert lie_algebra_dimension(transposed) == lie_algebra_dimension(state)
+            for (v, _), (w, _) in zip(clusters, t_clusters):
+                assert abs(v - w) <= 1e-12
+            assert is_invariant(UnitaryPair(pair.u2, pair.u1), transposed).invariant
