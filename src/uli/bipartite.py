@@ -27,6 +27,7 @@ from .matkernel import (
     as_complex_matrix,
     as_square_matrix,
     haar_unitary,
+    numerical_rank,
     rect_diag,
     svd,
 )
@@ -216,10 +217,9 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
             f"spectrum of length {s.size} does not fit dims ({d1}, {d2})"
         )
 
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > check_tolerance(rank_tol, "rank_tol") * smax))
+    rank = numerical_rank(s, check_tolerance(rank_tol, "rank_tol"))
     support = s[:rank]
-    gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * smax
+    gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
     # cluster edges: both ends of the support and every gap above the cut
     is_edge = np.ones(rank + 1, dtype=bool)
     np.greater(support[:-1] - support[1:], gap_cut, out=is_edge[1:-1])

@@ -18,6 +18,8 @@ values of the state's cached Schmidt form, so the state's one SVD serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .config import (
 )
 from .errors import NotUnitary
 from .matkernel import (
+    _residual,
     _unitarity_defect,
     as_square_matrix,
     haar_unitary,
@@ -58,16 +61,20 @@ class SupportBlock:
 class InvarianceStructure:
     """Symbolic description of the stabilizer group of one state.
 
-    ``blocks`` lists the coupled support blocks in Schmidt order (side-2 block
-    equal to the conjugate of the side-1 block); the null blocks of dimensions
-    ``null_dims`` are free and independent per side. ``schmidt`` is the
-    state's cached Schmidt form and carries the basis change to the
-    original basis.
+    ``schmidt`` is the state's cached Schmidt form and carries the basis
+    change to the original basis. Each cluster of ``spectrum`` is one coupled
+    support block (side-2 block the conjugate of the side-1 block); the null
+    blocks of dimensions ``null_dims`` are free and independent per side.
     """
 
     schmidt: SchmidtForm
     spectrum: DegeneracySpectrum
-    blocks: tuple[SupportBlock, ...]
+
+    @cached_property
+    def blocks(self) -> tuple[SupportBlock, ...]:
+        """The support blocks in Schmidt order, derived once from the cluster multiplicities."""
+        sizes = [mult for _, mult in self.spectrum.clusters]
+        return tuple(map(SupportBlock, accumulate(sizes, initial=0), sizes))
 
     @property
     def rank(self) -> int:
@@ -134,12 +141,7 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
         degeneracy_tol=degeneracy_tol,
         dims=(state.d1, state.d2),
     )
-    blocks = []
-    start = 0
-    for _, mult in spectrum.clusters:
-        blocks.append(SupportBlock(start=start, size=mult))
-        start += mult
-    structure = InvarianceStructure(schmidt=schmidt, spectrum=spectrum, blocks=tuple(blocks))
+    structure = InvarianceStructure(schmidt=schmidt, spectrum=spectrum)
     object.__setattr__(state, "_structure", (key, structure))
     return structure
 
@@ -175,14 +177,6 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     r2 = _block_diagonal(structure, [w.conj() for w in ws], null2)
     s1, s2 = structure.schmidt.s1, structure.schmidt.s2
     return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
-
-
-def _residual(difference) -> float:
-    """Max-entry modulus of ``difference()``; ``inf`` when a product in it overflows."""
-    # an overflowing product is reported as inf below; numpy's warning would only add noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(difference())))
-    return residual if np.isfinite(residual) else np.inf
 
 
 def is_invariant(pair: UnitaryPair, state: BipartiteState,
@@ -242,7 +236,7 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
     rank = structure.rank
     support = [r1[b.start:b.start + b.size, b.start:b.start + b.size] for b in structure.blocks]
     allowed = _block_diagonal(structure, support, r1[rank:, rank:])
-    off_mass = float(np.max(np.abs(r1 - allowed)))
+    off_mass = _residual(lambda: r1 - allowed)
     if off_mass > tol:
         return NoSolution(off_block_mass=off_mass)
 
@@ -253,7 +247,7 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
 def group_dimension(structure: InvarianceStructure) -> int:
     """Real dimension of the stabilizer group under the block parameterization."""
     n1, n2 = structure.null_dims
-    return sum(block.size**2 for block in structure.blocks) + n1**2 + n2**2
+    return sum(mult**2 for _, mult in structure.spectrum.clusters) + n1**2 + n2**2
 
 
 def _linearized_spectrum(sigma: np.ndarray, d1: int, d2: int) -> np.ndarray:

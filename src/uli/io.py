@@ -18,7 +18,7 @@ import numpy as np
 from .bipartite import BipartiteState, state_from_matrix
 from .config import DEFAULT_RANK_TOL, UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
-from .matkernel import _unitarity_defect, as_complex_matrix
+from .matkernel import _residual, _unitarity_defect, as_complex_matrix, numerical_rank
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -113,9 +113,8 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
     Matrices failing the unitarity check are rejected, unless ``lenient`` is
     set, in which case the nearest unitary (polar factor) is substituted and
     the max-entry size of the correction returned alongside it. The polar
-    factor is unique only for a nonsingular matrix, so a matrix whose
-    smallest singular value is at or below ``DEFAULT_RANK_TOL`` times its
-    largest is rejected even then.
+    factor is unique only for a nonsingular matrix, so a matrix with a singular
+    value at or below ``DEFAULT_RANK_TOL`` times the largest is rejected even then.
     """
     obj = _load(source)
     n = _dimension(obj, "n", "unitary")
@@ -128,9 +127,8 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
             f"matrix deviates from unitarity by {defect:.3e} (tolerance {UNITARY_TOL:.1e})"
         )
     w, sigma, vh = np.linalg.svd(m)
-    if sigma[-1] <= DEFAULT_RANK_TOL * sigma[0]:
+    if numerical_rank(sigma, DEFAULT_RANK_TOL) < n:
         raise NotUnitary(f"matrix is singular (smallest singular value {sigma[-1]:.3e}, "
                          f"largest {sigma[0]:.3e}); it has no unique nearest unitary")
     fixed = w @ vh
-    correction = float(np.max(np.abs(m - fixed)))
-    return fixed, correction
+    return fixed, _residual(lambda: m - fixed)

@@ -4,8 +4,8 @@ Plain ``complex128`` numpy arrays are the universal carrier for states and
 operators; this module wraps the numpy factorizations with the conventions
 the rest of the toolkit relies on: an SVD with a deterministic phase
 convention, returned as the read-only ``SchmidtForm`` that a state caches,
-exactly Haar-distributed unitaries, and nullspace dimensions of real linear
-systems.
+exactly Haar-distributed unitaries, nullspace dimensions of real linear
+systems, and the toolkit's one rank cutoff and one max-entry residual.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def rect_diag(values, rows: int, cols: int) -> np.ndarray:
 
 
 def unitarity_defect(u) -> float:
-    """Max-entry deviation of ``u.conj().T @ u`` from the identity."""
+    """Max-entry deviation of ``u.conj().T @ u`` from the identity; ``inf`` if it overflows."""
     m = as_complex_matrix(u, "u")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")
@@ -58,10 +58,20 @@ def unitarity_defect(u) -> float:
 
 def _unitarity_defect(m: np.ndarray) -> float:
     """``unitarity_defect`` of a square complex128 matrix its caller has already validated."""
-    gram = m.conj().T @ m
-    # subtract the identity in place: off the diagonal ``- 0`` would change no bit
-    gram.reshape(-1)[:: m.shape[0] + 1] -= 1
-    return float(np.max(np.abs(gram)))
+    def difference():
+        gram = m.conj().T @ m
+        # subtract the identity in place: off the diagonal ``- 0`` would change no bit
+        gram.reshape(-1)[:: m.shape[0] + 1] -= 1
+        return gram
+    return _residual(difference)
+
+
+def _residual(difference) -> float:
+    """Max-entry modulus of ``difference()``; ``inf`` when a product in it overflows."""
+    # an overflowing product is reported as inf below; numpy's warning would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(difference())))
+    return residual if np.isfinite(residual) else np.inf
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -152,10 +162,8 @@ def singular_values(m) -> np.ndarray:
 
 
 def numerical_rank(sigma: np.ndarray, tol: float) -> int:
-    """Count of ``sigma`` at or above ``tol`` times its largest value (``tol`` if all are 0)."""
-    smax = float(np.max(sigma))
-    cutoff = tol * smax if smax > 0 else tol
-    return int(np.count_nonzero(sigma >= cutoff))
+    """Count of ``sigma`` above ``tol`` times its largest value; at ``tol = 0``, of non-zeros."""
+    return int(np.count_nonzero(sigma > tol * np.max(sigma, initial=0.0)))
 
 
 def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:

@@ -171,6 +171,10 @@ class TestAnalyze:
         assert captured.out == ""
         assert "oracle" in captured.err
 
+    def test_zero_tolerance_agrees_with_the_oracle(self, bell_file, capsys):
+        assert main(["analyze", bell_file, "--tol", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_agreement"] is True
+
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
         ("--rank-tol", "nan"), ("--rank-tol", "-1"),
@@ -283,6 +287,24 @@ class TestVerify:
         assert captured.out == ""
         assert "singular" in captured.err
 
+    def test_overflowing_unitary_prints_only_the_error_line(self, bell_file, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        write_unitary_file(str(big), np.full((2, 2), 1.7e308))
+        assert main(["verify", bell_file, str(big), str(big)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: matrix deviates from unitarity by inf "
+                                "(tolerance 1.0e-10)\n")
+
+    def test_lenient_overflowing_unitary_is_corrected_without_a_warning(self, bell_file,
+                                                                         tmp_path, capsys):
+        big = tmp_path / "big.json"
+        write_unitary_file(str(big), np.diag([1.7e308, 1.7e308]))
+        assert main(["verify", bell_file, str(big), str(big), "--lenient"]) == 0
+        captured = capsys.readouterr()
+        assert "invariant: yes" in captured.out
+        assert captured.err == ""
+
     def test_non_finite_unitary_exits_2_even_when_lenient(self, bell_file,
                                                           non_finite_unitary_file, capsys):
         assert main(["verify", bell_file, non_finite_unitary_file, non_finite_unitary_file,
@@ -393,6 +415,20 @@ class TestGen:
         assert report["r_counts"] == {"2": 1}
         assert report["null_dims"] == [1, 1]
         assert report["sigma"][0] == pytest.approx(root, abs=1e-12)
+
+    def test_failed_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        def unable(*args):
+            raise MemoryError("Unable to allocate 728. TiB")
+
+        # nothing is allocated: the draw fails as numpy's would at this size
+        monkeypatch.setattr(uli.cli, "random_state_with_spectrum", unable)
+        out = tmp_path / "huge.json"
+        assert main(["gen", "spectrum", "--d1", "10000000", "--d2", "1", "--spectrum", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 728. TiB\n"
+        assert not out.exists()
 
     def test_invalid_spectrum_exits_2(self, tmp_path, capsys):
         code = main(["gen", "spectrum", "--d1", "2", "--d2", "2",

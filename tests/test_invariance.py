@@ -1,11 +1,14 @@
 """Tests for stabilizer structure, sampling, verification, and the undo solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import clustered_spectrum, distinct_spectrum, fuzz_state
 from uli import (
     DimensionMismatch,
+    InvarianceStructure,
     NoSolution,
     NotUnitary,
     UnitaryPair,
@@ -77,6 +80,13 @@ class TestInvarianceStructure:
             assert [b.size for b in st.blocks] == mults
             assert sum(b.size for b in st.blocks) + st.null_dims[0] == state.d1
             assert sum(b.size for b in st.blocks) + st.null_dims[1] == state.d2
+
+
+    def test_fields_are_the_schmidt_form_and_the_spectrum(self):
+        names = [f.name for f in dataclasses.fields(InvarianceStructure)]
+        assert names == ["schmidt", "spectrum"]
+        structure = invariance_structure(bell_state())
+        assert structure.blocks is structure.blocks
 
 
 class TestSampleInvariantPair:
@@ -277,6 +287,11 @@ class TestUndoOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             undo_operator(np.eye(2) * 2.0, bell_state())
+
+    def test_overflowing_u1_is_not_unitary_without_a_warning(self):
+        # the suite turns numpy's overflow warning into an error
+        with pytest.raises(NotUnitary, match="by inf"):
+            undo_operator(np.full((2, 2), 1.7e308), bell_state())
 
     @staticmethod
     def allowed_mask(structure, dim):

@@ -15,7 +15,7 @@ from uli import (
     svd,
     unitarity_defect,
 )
-from uli.matkernel import singular_values
+from uli.matkernel import numerical_rank, singular_values
 
 
 class TestSvd:
@@ -214,6 +214,21 @@ class TestRealNullspaceDimension:
     def test_rejects_bad_coefficients(self, coeffs, message):
         with pytest.raises(ValueError, match=message):
             real_nullspace_dimension(coeffs)
+
+
+@pytest.mark.parametrize("sigma, tol, rank", [
+    ([1.0, 0.0], 0.0, 1),
+    ([0.0, 0.0, 0.0], 0.0, 0),
+    ([1.0, 0.5], 0.5, 1),  # a value on the cutoff counts as zero
+    ([], 1e-10, 0),
+])
+def test_numerical_rank_counts_values_above_the_cutoff(sigma, tol, rank):
+    assert numerical_rank(np.array(sigma), tol) == rank
+
+
+def test_overflowing_unitarity_defect_is_inf_without_a_warning():
+    # the suite turns numpy's overflow warning into an error
+    assert unitarity_defect(np.full((2, 2), 1.7e308)) == np.inf
 
 
 def _defect_with_eye(m):

@@ -93,7 +93,7 @@ def test_spectrum_equals_orthonormal_dense_system():
         assert err <= 1e-12, (index, state.d1, state.d2, err)
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_DECISION_TOL, 1e-6, 0.0])
+@pytest.mark.parametrize("tol", [DEFAULT_DECISION_TOL, 1e-6])
 def test_nullity_equals_unscaled_dense_oracle(tol):
     for index, state in enumerate(STATES):
         expected = real_nullspace_dimension(dense_system(state.psi), tol=tol)
@@ -111,6 +111,15 @@ def test_sizes_beyond_a_dense_system(d1, d2, rank):
     assert lie_algebra_dimension(state) == known
 
 
+@pytest.mark.parametrize("psi", [
+    np.eye(2) / np.sqrt(2),
+    random_complex(np.random.default_rng(3), 3, 3),
+], ids=["bell", "haar"])
+def test_zero_tolerance_counts_exact_zeros_as_zero(psi):
+    state = state_from_matrix(psi / np.linalg.norm(psi))
+    assert lie_algebra_dimension(state, tol=0) == group_dimension(invariance_structure(state))
+
+
 def two_level_state(gap):
     """The state of ``scripts/degeneracy_sweep.py``: two Schmidt values ``gap`` apart."""
     sigma = np.array([1.0, 1.0 - gap])
@@ -121,7 +130,7 @@ def two_level_state(gap):
 SWEEP_STATES = [two_level_state(10.0 ** -e) for e in (*range(1, 8), *range(10, 15))]
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_DECISION_TOL, 1e-6, 0.0])
+@pytest.mark.parametrize("tol", [DEFAULT_DECISION_TOL, 1e-6])
 def test_cached_values_move_no_oracle_decision(tol):
     for index, state in enumerate(STATES + SWEEP_STATES):
         values_only = _linearized_spectrum(singular_values(state.psi), state.d1, state.d2)
