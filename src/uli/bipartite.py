@@ -14,6 +14,7 @@ Schmidt decomposition is the ``SchmidtForm`` that ``matkernel.svd`` returns,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -176,17 +177,12 @@ class DegeneracySpectrum:
     @property
     def r_counts(self) -> dict[int, int]:
         """Map multiplicity k to the number of clusters of that size."""
-        counts: dict[int, int] = {}
-        for _, mult in self.clusters:
-            counts[mult] = counts.get(mult, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(mult for _, mult in self.clusters).items()))
 
     def min_gap(self) -> float | None:
         """Smallest gap between consecutive cluster values; None below 2 clusters."""
-        if len(self.clusters) < 2:
-            return None
-        values = [v for v, _ in self.clusters]
-        return float(min(values[i] - values[i + 1] for i in range(len(values) - 1)))
+        return min((a - b for (a, _), (b, _) in zip(self.clusters, self.clusters[1:])),
+                   default=None)
 
 
 def _check_finite_nonnegative(s: np.ndarray) -> None:
@@ -218,17 +214,12 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
         )
 
     rank = numerical_rank(s, check_tolerance(rank_tol, "rank_tol"))
-    support = s[:rank]
     gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
-    # cluster edges: both ends of the support and every gap above the cut
-    is_edge = np.ones(rank + 1, dtype=bool)
-    np.greater(support[:-1] - support[1:], gap_cut, out=is_edge[1:-1])
-    edges = np.flatnonzero(is_edge)
-    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-    means = support[starts]  # the mean of one value is that value
-    for k in np.flatnonzero(sizes > 1):
-        means[k] = support[starts[k]:starts[k] + sizes[k]].mean()
-    clusters = tuple(zip(means.tolist(), sizes.tolist()))
+    v = s[:rank].tolist()
+    # a cluster starts at 0 and after every gap above the cut; it ends where the next starts
+    starts = [k for k in range(rank) if k == 0 or v[k - 1] - v[k] > gap_cut]
+    clusters = tuple((v[a] if b - a == 1 else float(s[a:b].mean()), b - a)
+                     for a, b in zip(starts, starts[1:] + [rank]))
     return DegeneracySpectrum(clusters=clusters, rank=rank, null_dims=(d1 - rank, d2 - rank))
 
 

@@ -127,6 +127,8 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
             f"matrix deviates from unitarity by {defect:.3e} (tolerance {UNITARY_TOL:.1e})"
         )
     w, sigma, vh = np.linalg.svd(m)
+    if not np.isfinite(sigma).all():
+        raise NotUnitary("matrix singular values overflow; it has no computable nearest unitary")
     if numerical_rank(sigma, DEFAULT_RANK_TOL) < n:
         raise NotUnitary(f"matrix is singular (smallest singular value {sigma[-1]:.3e}, "
                          f"largest {sigma[0]:.3e}); it has no unique nearest unitary")

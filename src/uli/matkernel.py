@@ -93,14 +93,6 @@ class SchmidtForm:
     s2: np.ndarray
     sigma: np.ndarray
 
-    @property
-    def d1(self) -> int:
-        return self.s1.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.s2.shape[0]
-
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
     # hypot rounds like the scalar abs(); np.abs on arrays does not always
@@ -134,6 +126,8 @@ def svd(m) -> SchmidtForm:
         u, sigma, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(sigma).all():
+        raise ValueError("singular values overflow: the largest exceeds the float64 range")
     u, vh = _normalize_phases(u, vh)
     return SchmidtForm(s1=_read_only(u.T), s2=_read_only(vh), sigma=_read_only(sigma))
 

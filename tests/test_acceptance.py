@@ -87,7 +87,7 @@ def test_criterion_2_completeness_at_identity(fuzz_pool):
 
 def _mixing_unitary(form, i, j):
     """Rotation by pi/4 between Schmidt directions i and j, in the original basis."""
-    d = form.d1
+    d = form.s1.shape[0]
     g = np.eye(d, dtype=complex)
     c = 1 / np.sqrt(2)
     g[i, i] = c

@@ -261,6 +261,21 @@ class TestClusterSpectrum:
         assert [m for _, m in loose.clusters] == [2, 1]
         assert [m for _, m in tight.clusters] == [1, 1, 1]
 
+    @pytest.mark.parametrize("sigma", [np.zeros(3), np.full(2, 1 / np.sqrt(2))])
+    def test_min_gap_is_none_below_two_clusters(self, sigma):
+        spectrum = cluster_spectrum(sigma)
+        assert len(spectrum.clusters) < 2
+        assert spectrum.min_gap() is None
+
+    def test_min_gap_is_the_smallest_adjacent_difference(self):
+        spectrum = cluster_spectrum(np.array([0.7, 0.5, 0.45, 0.1]))
+        assert spectrum.min_gap() == 0.5 - 0.45
+
+    def test_r_counts_keys_ascend(self):
+        spectrum = cluster_spectrum(np.array([0.5, 0.5, 0.5, 0.4, 0.3, 0.3]))
+        assert [m for _, m in spectrum.clusters] == [3, 1, 2]
+        assert list(spectrum.r_counts.items()) == [(1, 1), (2, 1), (3, 1)]
+
     @settings(deadline=None)
     @given(
         rank=st.integers(min_value=1, max_value=8),

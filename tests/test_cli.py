@@ -10,6 +10,7 @@ import uli.cli
 from uli.cli import main
 from uli.io import read_unitary_file, write_state_file, write_unitary_file
 from uli import UnitaryPair, state_from_matrix
+from uli import cluster_spectrum, schmidt_decompose
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -59,6 +60,20 @@ class TestAnalyze:
         assert report["r_counts"] == {"1": 1}
         assert report["null_dims"] == [1, 1]
         assert report["group_dimension"] == 3
+
+    def test_gap_and_counts_of_multiplicities_3_1_2(self, tmp_path, capsys):
+        sigma = np.array([0.5, 0.5, 0.5, 0.4, np.sqrt(0.045), np.sqrt(0.045)])
+        state = state_from_matrix(np.diag(sigma / np.linalg.norm(sigma)).astype(complex))
+        path = tmp_path / "mult312.json"
+        write_state_file(str(path), state)
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["multiplicity"] for c in report["clusters"]] == [3, 1, 2]
+        assert list(report["r_counts"].items()) == [("1", 1), ("2", 1), ("3", 1)]
+        spectrum = cluster_spectrum(schmidt_decompose(state).sigma, dims=(6, 6))
+        assert report["min_spectral_gap"] == spectrum.min_gap()
+        assert main(["analyze", str(path)]) == 0
+        assert "tuple counts: r1=1, r2=1, r3=1\n" in capsys.readouterr().out
 
     def test_text_report_mentions_oracle(self, bell_file, capsys):
         assert main(["analyze", bell_file]) == 0
@@ -304,6 +319,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "invariant: yes" in captured.out
         assert captured.err == ""
+
+    def test_lenient_overflowing_singular_values_are_named_an_overflow(self, bell_file,
+                                                                      tmp_path, capsys):
+        # finite entries whose singular values, about 1.97e308, exceed the float64 range
+        big = tmp_path / "big.json"
+        write_unitary_file(str(big), np.array([[1.7e308, 1e308], [-1e308, 1.7e308]]))
+        assert main(["verify", bell_file, str(big), str(big), "--lenient"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: matrix singular values overflow; "
+                                "it has no computable nearest unitary\n")
 
     def test_non_finite_unitary_exits_2_even_when_lenient(self, bell_file,
                                                           non_finite_unitary_file, capsys):

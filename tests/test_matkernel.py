@@ -104,6 +104,11 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.zeros((0, 2)))
 
+    def test_rejects_overflowing_singular_values(self):
+        # finite entries whose largest singular value, 3.4e308, exceeds the float64 range
+        with pytest.raises(ValueError, match="singular values overflow"):
+            svd(np.full((2, 2), 1.7e308))
+
     def test_rejects_three_dimensional(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             svd(np.zeros((2, 2, 2)))
