@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print a digest of every `uli` command's output on a fixed corpus.
 
-Writes seven states with `uli gen` into a temporary directory, then runs
+Writes eight states with `uli gen` into a temporary directory, then runs
 `analyze`, `sample`, `verify` and `undo` on each of them in-process through
 ``uli.cli.main``. Each command prints one line: its exit code, the sha256
 of its stdout, its stderr and the files it wrote, and its arguments. Two
@@ -44,6 +44,8 @@ CORPUS = [
     ("deficient-6x3", ["spectrum", "--d1", "6", "--d2", "3", "--seed", "5",
                        "--spectrum", "0.8", "0.6"], (3,), ROUNDING, (1,)),
     ("product-1x1", ["product", "--d1", "1", "--d2", "1", "--seed", "6"], (0,), (0,), (0,)),
+    # s1 and every sampled u1 are 130 x 130, more than one write chunk (uli.io.CHUNK)
+    ("haar-130x2", ["haar-random", "--d1", "130", "--d2", "2", "--seed", "7"], (3,), (0,), (1,)),
 ]
 LOOSE = ["--rank-tol", "0.3", "--degeneracy-tol", "0.5"]
 

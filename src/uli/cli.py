@@ -293,7 +293,8 @@ def cmd_undo(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    # bell draws nothing, so it builds no generator and never imports numpy.random
+    rng = None if args.kind == "bell" else np.random.default_rng(args.seed)
     d1, d2 = args.d1, args.d2
     if args.kind == "bell":
         d = min(d1, d2)

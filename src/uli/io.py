@@ -22,7 +22,8 @@ from .matkernel import _residual, _unitarity_defect, as_complex_matrix, numerica
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+    """The ``re``/``im`` fields as views; ``dump_json`` writes them in chunks."""
+    return {"re": m.real, "im": m.imag}
 
 
 def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarray:
@@ -43,9 +44,10 @@ def _matrix_from_payload(obj: dict, rows: int, cols: int, what: str) -> np.ndarr
             f"{what} matrices must have shape ({rows}, {cols}), "
             f"got re {re.shape} and im {im.shape}"
         )
-    # an infinite imaginary part makes 0 * inf here; the caller refuses the non-finite result
-    with np.errstate(invalid="ignore"):
-        return re + 1j * im
+    # assigned, not re + 1j * im: that arithmetic turns a -0.0 part into +0.0
+    m = re.astype(np.complex128)
+    m.imag = im
+    return m
 
 
 def _dimension(obj: dict, key: str, what: str) -> int:
@@ -58,10 +60,47 @@ def _dimension(obj: dict, key: str, what: str) -> int:
     return value
 
 
+# Rows of a 2-d array go to one json.dumps call until they reach this many
+# entries (always at least one row), so a write holds one chunk's Python floats
+# and text, under 1 MB, never a whole d x d matrix or the whole document. Every
+# matrix up to 128 x 128 is still one call: one call per row costs more calls
+# and writes than the memory it saves.
+CHUNK = 16384
+
+
+def _holds_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) or (
+        isinstance(obj, dict) and any(map(_holds_array, obj.values())))
+
+
+def _write_json(obj, fh) -> None:
+    # json.dumps takes the C encoder, json.dump the pure-Python one; its default
+    # separators ", " and ": " are the file format
+    if isinstance(obj, np.ndarray):  # a 2-d float array
+        step = max(1, CHUNK // obj.shape[1])
+        fh.write("[")
+        for start in range(0, len(obj), step):
+            # the chunk's rows without its outer brackets
+            fh.write((", " if start else "") + json.dumps(obj[start:start + step].tolist())[1:-1])
+        fh.write("]")
+    elif _holds_array(obj):
+        sep = "{"
+        for key, value in obj.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            _write_json(value, fh)
+            sep = ", "
+        fh.write("}")
+    else:
+        fh.write(json.dumps(obj))
+
+
 def dump_json(obj, fh) -> None:
-    """Write ``obj`` as one line of JSON; identical content yields identical bytes."""
-    # json.dumps takes the C encoder, json.dump the pure-Python one
-    fh.write(json.dumps(obj, separators=(", ", ": ")))
+    """Write ``obj`` as one line of JSON; identical content yields identical bytes.
+
+    A dict may hold 2-d float arrays, also in nested dicts. Each is written as
+    a list of rows, ``CHUNK`` entries (or one row) per ``json.dumps`` call.
+    """
+    _write_json(obj, fh)
     fh.write("\n")
 
 

@@ -489,6 +489,17 @@ class TestGen:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_bell_builds_no_generator(self, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("gen bell built a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "bell.json"
+        assert main(["gen", "bell", "--d1", "2", "--d2", "2", "--out", str(out)]) == 0
+        assert out.read_text() == ('{"d1": 2, "d2": 2, '
+                                   '"re": [[0.7071067811865475, 0.0], [0.0, 0.7071067811865475]], '
+                                   '"im": [[0.0, 0.0], [0.0, 0.0]]}\n')
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -198,6 +198,17 @@ def test_written_negative_zero_entries_read_back(tmp_path):
     assert read_unitary_file(str(tmp_path / "u.json"))[0].tobytes() == u.tobytes()
 
 
+def test_negative_zero_parts_read_back_with_their_sign(tmp_path):
+    # -0.0 + 0.6j and 0.8 - 0.0j: a zero part beside a nonzero one keeps its sign
+    psi = np.array([[complex(-0.0, 0.6), 0], [0, complex(0.8, -0.0)]])
+    state = state_from_matrix(psi)
+    write_state_file(str(tmp_path / "s.json"), state)
+    assert read_state_file(str(tmp_path / "s.json")).psi.tobytes() == state.psi.tobytes()
+    u = np.diag([complex(-0.0, 1), complex(1, -0.0)])
+    write_unitary_file(str(tmp_path / "u.json"), u)
+    assert read_unitary_file(str(tmp_path / "u.json"))[0].tobytes() == u.tobytes()
+
+
 def test_integer_entry_beyond_double_range_is_an_input_error(tmp_path):
     path = tmp_path / "state.json"
     path.write_text('{"d1": 1, "d2": 2, "re": [[1' + "0" * 400 + ', 0]], "im": [[0, 0]]}')
