@@ -3,13 +3,14 @@
 
 Writes eight states with `uli gen` into a temporary directory, then runs
 `analyze`, `sample`, `verify` and `undo` on each of them in-process through
-``uli.cli.main``. Each command prints one line: its exit code, the sha256
-of its stdout, its stderr and the files it wrote, and its arguments. Two
-trees of the toolkit print the same lines exactly when every command keeps
-its exit code and its bytes, so running this script before and after a
-change checks that the change moved no output. The bits depend on the BLAS
-build, so compare digests taken on one machine. Exits 1 when a command's
-exit code is not the one the README documents for that input.
+``uli.cli.main``, and `verify --lenient` and `undo --lenient` on a sampled
+pair scaled off unitarity by 1e-7. Each command prints one line: its exit
+code, the sha256 of its stdout, its stderr and the files it wrote, and its
+arguments. Two trees of the toolkit print the same lines exactly when every
+command keeps its exit code and its bytes, so running this script before
+and after a change checks that the change moved no output. The bits depend
+on the BLAS build, so compare digests taken on one machine. Exits 1 when a
+command's exit code is not the one the README documents for that input.
 
 Usage: PYTHONPATH=src python -W error scripts/output_digest.py
 """
@@ -24,7 +25,7 @@ import tempfile
 import numpy as np
 
 from uli.cli import main as uli_main
-from uli.io import write_unitary_file
+from uli.io import read_unitary_file, write_unitary_file
 from uli.matkernel import haar_unitary
 
 # At --tol 0 the oracle asks "exactly zero?", so a state whose equal or zero
@@ -87,6 +88,13 @@ def digest_state(name, gen_args, loose_exit, tol0_exit, haar_undo_exit):
     for u1, expected in ((sampled["u1"], (0,)), (haar["u1"], haar_undo_exit)):
         undone = u1.replace(".u1.json", ".undo.json")
         ok &= run(["undo", state, u1, "--out", undone], expected, [undone])
+    # off unitarity by 1e-7, beyond the 1e-10 check, so only --lenient reads it
+    scaled = {side: f"{name}-scaled.{side}.json" for side in ("u1", "u2")}
+    for side in ("u1", "u2"):
+        write_unitary_file(scaled[side], read_unitary_file(sampled[side])[0] * (1 + 1e-7))
+    ok &= run(["verify", state, scaled["u1"], scaled["u2"], "--lenient"], (0,))
+    undone = f"{name}-scaled.undo.json"
+    ok &= run(["undo", state, scaled["u1"], "--out", undone, "--lenient"], (0,), [undone])
     return ok
 
 

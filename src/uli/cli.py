@@ -280,9 +280,11 @@ def cmd_verify(args) -> int:
 
 def cmd_undo(args) -> int:
     state = read_state_file(args.state, normalize=args.normalize)
-    u1, _ = read_unitary_file(args.u1, lenient=args.lenient)
+    u1, corr1 = read_unitary_file(args.u1, lenient=args.lenient)
     result = undo_operator(u1, state, tol=args.tol, rank_tol=args.rank_tol,
                            degeneracy_tol=args.degeneracy_tol)
+    if corr1 > 0:
+        print(f"unitarity correction: u1 {corr1:.3e}")
     if isinstance(result, NoSolution):
         print(f"no undo exists: off-block mass {result.off_block_mass:.6e} "
               f"exceeds tolerance {args.tol:.1e}")

@@ -68,11 +68,6 @@ def _dimension(obj: dict, key: str, what: str) -> int:
 CHUNK = 16384
 
 
-def _holds_array(obj) -> bool:
-    return isinstance(obj, np.ndarray) or (
-        isinstance(obj, dict) and any(map(_holds_array, obj.values())))
-
-
 def _write_json(obj, fh) -> None:
     # json.dumps takes the C encoder, json.dump the pure-Python one; its default
     # separators ", " and ": " are the file format
@@ -83,12 +78,11 @@ def _write_json(obj, fh) -> None:
             # the chunk's rows without its outer brackets
             fh.write((", " if start else "") + json.dumps(obj[start:start + step].tolist())[1:-1])
         fh.write("]")
-    elif _holds_array(obj):
-        sep = "{"
-        for key, value in obj.items():
-            fh.write(f"{sep}{json.dumps(key)}: ")
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
             _write_json(value, fh)
-            sep = ", "
         fh.write("}")
     else:
         fh.write(json.dumps(obj))
@@ -97,8 +91,10 @@ def _write_json(obj, fh) -> None:
 def dump_json(obj, fh) -> None:
     """Write ``obj`` as one line of JSON; identical content yields identical bytes.
 
-    A dict may hold 2-d float arrays, also in nested dicts. Each is written as
-    a list of rows, ``CHUNK`` entries (or one row) per ``json.dumps`` call.
+    A 2-d float array is written as its rows, ``CHUNK`` entries (or one row)
+    per ``json.dumps`` call. A dict is written item by item, each value by
+    these rules, in the bytes of one ``json.dumps`` call; its keys must be
+    str. Anything else is one ``json.dumps`` call.
     """
     _write_json(obj, fh)
     fh.write("\n")

@@ -1,15 +1,27 @@
-"""Shared test helpers: seeded generators for states with controlled spectra."""
+"""Shared test helpers: seeded state generators, the Bell state and two fixed 2 x 2 unitaries."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from uli import random_state_with_spectrum
+from uli import random_state_with_spectrum, state_from_matrix
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def bell_state(d=2):
+    return state_from_matrix(np.eye(d, dtype=complex) / np.sqrt(d))
 
 
 def random_complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def random_state(rng, d1, d2):
+    m = random_complex(rng, d1, d2)
+    return state_from_matrix(m / np.linalg.norm(m))
 
 
 def clustered_spectrum(rng, rank, min_rel_step=0.1, max_rel_step=0.5):

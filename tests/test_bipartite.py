@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clustered_spectrum, random_complex
+from conftest import SIGMA_X, bell_state, clustered_spectrum, random_complex, random_state
 from uli import (
     BadSpectrum,
     DimensionMismatch,
@@ -25,18 +25,6 @@ from uli import (
     svd,
     vec_to_matrix,
 )
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def bell_state():
-    return state_from_matrix(np.eye(2, dtype=complex) / np.sqrt(2))
-
-
-def random_state(rng, d1, d2):
-    m = random_complex(rng, d1, d2)
-    return state_from_matrix(m / np.linalg.norm(m))
-
 
 class TestVecMatrix:
     def test_basis_state(self):

@@ -6,13 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import HADAMARD
 import uli.cli
 from uli.cli import main
 from uli.io import read_unitary_file, write_state_file, write_unitary_file
 from uli import UnitaryPair, state_from_matrix
 from uli import cluster_spectrum, schmidt_decompose
-
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @pytest.fixture
@@ -402,6 +401,23 @@ class TestUndo:
         assert captured.out == ""
         assert "singular" in captured.err
         assert not out.exists()
+
+    def test_lenient_reports_the_correction_with_either_answer(self, bell_file,
+                                                              nondegenerate_file, tmp_path,
+                                                              capsys):
+        scaled = tmp_path / "scaled.json"
+        out = tmp_path / "undo.json"
+        write_unitary_file(str(scaled), np.diag([1.000001, 1.0]))
+        assert main(["undo", bell_file, str(scaled), "--out", str(out), "--lenient"]) == 0
+        assert capsys.readouterr().out == (f"unitarity correction: u1 1.000e-06\n"
+                                           f"wrote undo unitary to {out}\n")
+        mixing = tmp_path / "sx.json"
+        write_unitary_file(str(mixing), np.array([[0, 1.000001], [1, 0]]))
+        assert main(["undo", nondegenerate_file, str(mixing),
+                     "--out", str(tmp_path / "never.json"), "--lenient"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "unitarity correction: u1 1.000e-06"
+        assert lines[1].startswith("no undo exists: ")
 
     def test_cluster_mixing_exits_1_with_diagnostic(self, nondegenerate_file, tmp_path, capsys):
         u1 = tmp_path / "sx.json"

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import clustered_spectrum, distinct_spectrum, fuzz_state
+from conftest import (
+    HADAMARD,
+    SIGMA_X,
+    bell_state,
+    clustered_spectrum,
+    distinct_spectrum,
+    fuzz_state,
+)
 from uli import (
     DimensionMismatch,
     InvarianceStructure,
@@ -27,14 +34,6 @@ from uli import (
     undo_operator,
     unitarity_defect,
 )
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def bell_state(d=2):
-    return state_from_matrix(np.eye(d, dtype=complex) / np.sqrt(d))
-
 
 def ket00_state():
     return state_from_matrix(np.array([[1, 0], [0, 0]], dtype=complex))

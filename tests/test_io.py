@@ -1,10 +1,16 @@
 """Tests for the state and unitary file formats."""
 
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import uli.io
 from conftest import random_complex
 from uli import (
     DimensionMismatch,
@@ -16,7 +22,6 @@ from uli import (
 )
 from uli.cli import main
 from uli.io import read_state_file, read_unitary_file, write_state_file, write_unitary_file
-
 
 def test_state_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
@@ -215,3 +220,39 @@ def test_integer_entry_beyond_double_range_is_an_input_error(tmp_path):
     with pytest.raises(ValueError, match="does not fit a double"):
         read_state_file(str(path), normalize=True)
     assert main(["analyze", str(path)]) == 2
+
+
+FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, -2.5e-310]))
+# JSON values with no array: scalars, lists and dicts, empty ones included
+PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                    elements=FLOATS)
+# a dict whose values are plain JSON, 2-d float arrays or dicts of the same kind
+TREES = st.dictionaries(st.text(), st.recursive(
+    PLAIN | ARRAYS, lambda inner: st.dictionaries(st.text(), inner, max_size=3), max_leaves=8,
+), max_size=4)
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    return obj
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(TREES)
+def test_dump_json_writes_the_bytes_of_one_json_dumps(tree):
+    expected = json.dumps(_as_lists(tree)) + "\n"
+    # a chunk of 1 and of 3 entries runs the row-chunk loop on small arrays too
+    for chunk in (1, 3, uli.io.CHUNK):
+        buf = io.StringIO()
+        with mock.patch.object(uli.io, "CHUNK", chunk):
+            uli.io.dump_json(tree, buf)
+        assert buf.getvalue() == expected

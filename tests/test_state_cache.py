@@ -7,7 +7,7 @@ tolerances asked for.
 import numpy as np
 import pytest
 
-from conftest import random_complex
+from conftest import random_state
 from uli import (
     NoSolution,
     UnitaryPair,
@@ -29,11 +29,6 @@ from uli.cli import main
 from uli.io import write_state_file
 
 LOOSE, TIGHT = 1e-8, 1e-10
-
-
-def random_state(rng, d1, d2):
-    m = random_complex(rng, d1, d2)
-    return state_from_matrix(m / np.linalg.norm(m))
 
 
 def fragile_state(rng, d1=5, d2=4):
