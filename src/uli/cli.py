@@ -295,6 +295,9 @@ def cmd_undo(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.spectrum is not None and args.kind != "spectrum":
+        print("error: --spectrum applies only to kind=spectrum", file=sys.stderr)
+        return EXIT_USAGE
     # bell draws nothing, so it builds no generator and never imports numpy.random
     rng = None if args.kind == "bell" else np.random.default_rng(args.seed)
     d1, d2 = args.d1, args.d2
@@ -324,6 +327,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # stdin can be read once, so a second - would read an empty stream
+    if [getattr(args, name, None) for name in ("state", "u1", "u2")].count("-") > 1:
+        print("error: only one input can come from stdin (-)", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ToolkitError, OSError, ValueError, MemoryError) as exc:

@@ -162,6 +162,16 @@ def _block_diagonal(structure: InvarianceStructure, blocks, null: np.ndarray) ->
     return r
 
 
+def _unitary(structure: InvarianceStructure, side: int, blocks, null: np.ndarray) -> np.ndarray:
+    """Side ``side``'s unitary in the original basis, ``s.T @ r @ s.conj()``.
+
+    ``r`` holds the side-1 support ``blocks`` (conjugated on side 2: the coupling) and ``null``.
+    """
+    s = structure.schmidt.s1 if side == 1 else structure.schmidt.s2
+    r = _block_diagonal(structure, blocks if side == 1 else [w.conj() for w in blocks], null)
+    return s.T @ r @ s.conj()
+
+
 def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generator) -> UnitaryPair:
     """Draw a Haar-random element of the stabilizer group.
 
@@ -170,13 +180,8 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     order is fixed so a seeded generator reproduces the same pair.
     """
     ws = [haar_unitary(block.size, rng) for block in structure.blocks]
-    n1, n2 = structure.null_dims
-    null1 = haar_unitary(n1, rng) if n1 else np.zeros((0, 0))
-    null2 = haar_unitary(n2, rng) if n2 else np.zeros((0, 0))
-    r1 = _block_diagonal(structure, ws, null1)
-    r2 = _block_diagonal(structure, [w.conj() for w in ws], null2)
-    s1, s2 = structure.schmidt.s1, structure.schmidt.s2
-    return UnitaryPair(u1=s1.T @ r1 @ s1.conj(), u2=s2.T @ r2 @ s2.conj())
+    null1, null2 = [haar_unitary(n, rng) if n else np.zeros((0, 0)) for n in structure.null_dims]
+    return UnitaryPair(u1=_unitary(structure, 1, ws, null1), u2=_unitary(structure, 2, ws, null2))
 
 
 def is_invariant(pair: UnitaryPair, state: BipartiteState,
@@ -230,18 +235,16 @@ def undo_operator(u1, state: BipartiteState, tol: float = DEFAULT_DECISION_TOL,
         raise NotUnitary(f"u1 deviates from unitarity by {defect:.3e}")
 
     structure = invariance_structure(state, rank_tol=rank_tol, degeneracy_tol=degeneracy_tol)
-    s1, s2 = structure.schmidt.s1, structure.schmidt.s2
+    s1 = structure.schmidt.s1
     r1 = s1.conj() @ m1 @ s1.T
 
-    rank = structure.rank
     support = [r1[b.start:b.start + b.size, b.start:b.start + b.size] for b in structure.blocks]
-    allowed = _block_diagonal(structure, support, r1[rank:, rank:])
+    allowed = _block_diagonal(structure, support, r1[structure.rank:, structure.rank:])
     off_mass = _residual(lambda: r1 - allowed)
     if off_mass > tol:
         return NoSolution(off_block_mass=off_mass)
 
-    r2 = _block_diagonal(structure, [w.conj() for w in support], np.eye(state.d2 - rank))
-    return UnitaryPair(u1=m1, u2=s2.T @ r2 @ s2.conj())
+    return UnitaryPair(u1=m1, u2=_unitary(structure, 2, support, np.eye(structure.null_dims[1])))
 
 
 def group_dimension(structure: InvarianceStructure) -> int:

@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded state generators, the Bell state and two fixed 2 x 2 unitaries."""
+"""Shared test helpers: seeded states, the Bell state, two 2 x 2 unitaries, the dense system."""
 
 from __future__ import annotations
 
@@ -65,6 +65,35 @@ def fuzz_state(rng, lo=2, hi=6):
     rank = int(rng.integers(1, min(d1, d2) + 1))
     sigma, mults = clustered_spectrum(rng, rank)
     return random_state_with_spectrum(sigma, d1, d2, rng), sigma, mults
+
+
+def anti_hermitian_basis(n, off_scale):
+    """Real basis of the n x n anti-Hermitian matrices, stacked in a fixed order.
+
+    The n imaginary diagonal units come first, then for each j < k in
+    row-major order the antisymmetric real and the symmetric imaginary
+    off-diagonal pair, with entries of modulus ``off_scale``: 1 gives the
+    unscaled basis, 1/sqrt2 a Frobenius-orthonormal one.
+    """
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1j
+    j, k = np.triu_indices(n, 1)
+    real = n + 2 * np.arange(j.size)
+    basis[real, j, k] = off_scale
+    basis[real, k, j] = -off_scale
+    basis[real + 1, j, k] = 1j * off_scale
+    basis[real + 1, k, j] = 1j * off_scale
+    return basis
+
+
+def dense_system(psi, off_scale=1.0):
+    """2*d1*d2 x (d1^2 + d2^2) real matrix of the linearized invariance condition."""
+    d1, d2 = psi.shape
+    columns = [basis @ psi for basis in anti_hermitian_basis(d1, off_scale)]
+    columns += [psi @ basis.T for basis in anti_hermitian_basis(d2, off_scale)]
+    complex_system = np.stack([c.ravel() for c in columns], axis=1)
+    return np.vstack([complex_system.real, complex_system.imag])
 
 
 @pytest.fixture

@@ -547,3 +547,49 @@ class TestUsage:
             monkeypatch.setattr("sys.stdin", _io.StringIO(fh.read()))
         assert main(["analyze", "-", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 2
+
+
+class TestOneStdinInput:
+    @pytest.mark.parametrize("argv", [
+        ["undo", "-", "-", "--out", "OUT"],
+        ["verify", "-", "-", "-"],
+        ["verify", "STATE", "-", "-"],
+        ["verify", "-", "STATE", "-"],
+    ])
+    def test_second_dash_is_usage_error_before_reading(self, bell_file, tmp_path, capsys,
+                                                       monkeypatch, argv):
+        class UnreadableStdin:
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", UnreadableStdin())
+        out = tmp_path / "o.json"
+        argv = [{"STATE": bell_file, "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: only one input can come from stdin (-)\n"
+        assert not out.exists()
+
+    def test_one_dash_may_be_any_input(self, bell_file, tmp_path, capsys, monkeypatch):
+        import io as _io
+        u = tmp_path / "x.json"
+        write_unitary_file(str(u), np.array([[0, 1], [1, 0]], dtype=complex))
+        with open(bell_file) as fh:
+            monkeypatch.setattr("sys.stdin", _io.StringIO(fh.read()))
+        assert main(["undo", "-", str(u), "--out", str(tmp_path / "o.json")]) == 0
+        monkeypatch.setattr("sys.stdin", _io.StringIO(u.read_text()))
+        assert main(["verify", bell_file, str(u), "-"]) == 0
+        assert "invariant: yes" in capsys.readouterr().out
+
+
+class TestGenSpectrumFlag:
+    @pytest.mark.parametrize("kind", ["bell", "product", "haar-random"])
+    def test_spectrum_with_another_kind_is_usage_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "g.json"
+        assert main(["gen", kind, "--d1", "2", "--d2", "2", "--spectrum", "0.6", "0.8",
+                     "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --spectrum applies only to kind=spectrum\n"
+        assert not out.exists()

@@ -8,7 +8,7 @@ read the spectrum off the singular values of psi.
 import numpy as np
 import pytest
 
-from conftest import clustered_spectrum, random_complex
+from conftest import clustered_spectrum, dense_system, random_complex
 from uli import (
     DEFAULT_DECISION_TOL,
     group_dimension,
@@ -25,35 +25,6 @@ SHAPES = [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (2, 2), (3, 3), (4, 4), (5, 5)
           (2, 3), (3, 2), (2, 5), (5, 3), (4, 6), (6, 4)]
 KINDS = ("generic", "degenerate", "deficient", "bell")
 STATE_COUNT = 240
-
-
-def anti_hermitian_basis(n, off_scale):
-    """Real basis of the n x n anti-Hermitian matrices, stacked in a fixed order.
-
-    The n imaginary diagonal units come first, then for each j < k in
-    row-major order the antisymmetric real and the symmetric imaginary
-    off-diagonal pair, with entries of modulus ``off_scale``: 1 gives the
-    unscaled basis, 1/sqrt2 a Frobenius-orthonormal one.
-    """
-    basis = np.zeros((n * n, n, n), dtype=np.complex128)
-    diag = np.arange(n)
-    basis[diag, diag, diag] = 1j
-    j, k = np.triu_indices(n, 1)
-    real = n + 2 * np.arange(j.size)
-    basis[real, j, k] = off_scale
-    basis[real, k, j] = -off_scale
-    basis[real + 1, j, k] = 1j * off_scale
-    basis[real + 1, k, j] = 1j * off_scale
-    return basis
-
-
-def dense_system(psi, off_scale=1.0):
-    """2*d1*d2 x (d1^2 + d2^2) real matrix of the linearized invariance condition."""
-    d1, d2 = psi.shape
-    columns = [basis @ psi for basis in anti_hermitian_basis(d1, off_scale)]
-    columns += [psi @ basis.T for basis in anti_hermitian_basis(d2, off_scale)]
-    complex_system = np.stack([c.ravel() for c in columns], axis=1)
-    return np.vstack([complex_system.real, complex_system.imag])
 
 
 def make_state(index):
