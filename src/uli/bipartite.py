@@ -20,7 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_DEGENERACY_TOL, DEFAULT_NORM_TOL, DEFAULT_RANK_TOL, check_tolerance
+from .config import (
+    DEFAULT_DEGENERACY_TOL,
+    DEFAULT_NORM_TOL,
+    DEFAULT_RANK_TOL,
+    check_rank_tolerance,
+    check_tolerance,
+)
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
 from .matkernel import (
     SchmidtForm,
@@ -195,7 +201,8 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
                      dims: tuple[int, int] | None = None) -> DegeneracySpectrum:
     """Group a descending spectrum into equal-value clusters.
 
-    Values at or below ``rank_tol`` times the largest go to the null space.
+    Values at or below ``rank_tol`` times the largest go to the null space;
+    ``rank_tol`` must be below 1, or every value would.
     Surviving neighbors chain into one cluster when their gap is at most
     ``degeneracy_tol`` times the largest value; chaining makes the degeneracy
     decision transitive. ``dims`` supplies (d1, d2) for the null dimensions
@@ -213,7 +220,7 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
             f"spectrum of length {s.size} does not fit dims ({d1}, {d2})"
         )
 
-    rank = numerical_rank(s, check_tolerance(rank_tol, "rank_tol"))
+    rank = numerical_rank(s, check_rank_tolerance(rank_tol, "rank_tol"))
     gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
     v = s[:rank].tolist()
     # a cluster starts at 0 and after every gap above the cut; it ends where the next starts

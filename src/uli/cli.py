@@ -22,6 +22,7 @@ from .config import (
     DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
+    check_rank_tolerance,
     check_tolerance,
 )
 from .errors import ToolkitError
@@ -79,16 +80,20 @@ def _seed(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
-def _tolerance(text: str) -> float:
+def _tolerance(text: str, check=check_tolerance) -> float:
     try:
-        return check_tolerance(text, "tolerance")
+        return check(text, "tolerance")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _rank_tolerance(text: str) -> float:
+    return _tolerance(text, check_rank_tolerance)
+
+
 def _add_common(parser, *, tol=False, structure=False, fmt=False, lenient=False):
     if structure:
-        parser.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL,
+        parser.add_argument("--rank-tol", type=_rank_tolerance, default=DEFAULT_RANK_TOL,
                             help="relative cutoff separating zero singular values")
         parser.add_argument("--degeneracy-tol", type=_tolerance, default=DEFAULT_DEGENERACY_TOL,
                             help="relative gap below which singular values cluster")

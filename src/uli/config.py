@@ -32,3 +32,11 @@ def check_tolerance(value, name: str) -> float:
     if not math.isfinite(tol) or tol < 0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return tol
+
+
+def check_rank_tolerance(value, name: str) -> float:
+    """``check_tolerance``, also refusing 1 and above: such a cutoff counts every value as zero."""
+    tol = check_tolerance(value, name)
+    if tol >= 1:
+        raise ValueError(f"{name} must be below 1, got {value!r}")
+    return tol

@@ -37,6 +37,7 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
     UNITARY_TOL,
+    check_rank_tolerance,
     check_tolerance,
 )
 from .errors import NotUnitary
@@ -129,7 +130,7 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     tolerances returns that same immutable object, and other tolerances
     build a new one that replaces it.
     """
-    key = (check_tolerance(rank_tol, "rank_tol"),
+    key = (check_rank_tolerance(rank_tol, "rank_tol"),
            check_tolerance(degeneracy_tol, "degeneracy_tol"))
     last = state._structure  # read once: another thread may replace it meanwhile
     if last is not None and last[0] == key:

@@ -18,7 +18,7 @@ import numpy as np
 from .bipartite import BipartiteState, state_from_matrix
 from .config import DEFAULT_RANK_TOL, UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
-from .matkernel import _residual, _unitarity_defect, as_complex_matrix, numerical_rank
+from .matkernel import _lapack_svd, _residual, _unitarity_defect, as_complex_matrix, numerical_rank
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -161,9 +161,7 @@ def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray
         raise NotUnitary(
             f"matrix deviates from unitarity by {defect:.3e} (tolerance {UNITARY_TOL:.1e})"
         )
-    w, sigma, vh = np.linalg.svd(m)
-    if not np.isfinite(sigma).all():
-        raise NotUnitary("matrix singular values overflow; it has no computable nearest unitary")
+    w, sigma, vh = _lapack_svd(m)
     if numerical_rank(sigma, DEFAULT_RANK_TOL) < n:
         raise NotUnitary(f"matrix is singular (smallest singular value {sigma[-1]:.3e}, "
                          f"largest {sigma[0]:.3e}); it has no unique nearest unitary")

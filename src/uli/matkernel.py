@@ -112,6 +112,17 @@ def _normalize_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.nda
     return u * col_phase.conj()[None, :], vh * row_phase[:, None]
 
 
+def _lapack_svd(a: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd``; ConvergenceFailure if LAPACK fails, ValueError if a value overflows."""
+    try:
+        result = np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(result[1] if compute_uv else result).all():
+        raise ValueError("singular values overflow: the largest exceeds the float64 range")
+    return result
+
+
 def svd(m) -> SchmidtForm:
     """Full SVD ``m = u @ Sigma @ vh`` with a deterministic phase convention.
 
@@ -121,13 +132,7 @@ def svd(m) -> SchmidtForm:
     real positive) keeps repeated runs on identical input bit-identical, which
     golden-file tests depend on.
     """
-    a = as_complex_matrix(m)
-    try:
-        u, sigma, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    if not np.isfinite(sigma).all():
-        raise ValueError("singular values overflow: the largest exceeds the float64 range")
+    u, sigma, vh = _lapack_svd(as_complex_matrix(m))
     u, vh = _normalize_phases(u, vh)
     return SchmidtForm(s1=_read_only(u.T), s2=_read_only(vh), sigma=_read_only(sigma))
 
@@ -145,14 +150,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d)).conj()
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of a matrix, descending, from a values-only LAPACK SVD."""
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
 
 
 def numerical_rank(sigma: np.ndarray, tol: float) -> int:
@@ -174,4 +171,4 @@ def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:
         raise ValueError("coeffs must be a non-empty 2-d real array")
     if not np.all(np.isfinite(c)):
         raise ValueError("coeffs contains non-finite entries")
-    return c.shape[1] - numerical_rank(singular_values(c), tol)
+    return c.shape[1] - numerical_rank(_lapack_svd(c, compute_uv=False), tol)

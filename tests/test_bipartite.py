@@ -329,7 +329,7 @@ def _reference_spectra():
     rng = np.random.default_rng(17)
     yield np.array([]), 1e-10, 1e-8
     yield np.array([0.0, 0.0]), 1e-10, 1e-8
-    yield np.array([0.8, 0.6]), 1.0, 1e-8  # rank 0 by the cutoff
+    yield np.array([0.8, 0.6]), np.nextafter(1.0, 0.0), 1e-8  # the largest cutoff: rank 1
     yield np.array([1.0]), 1e-10, 1e-8
     # gaps exactly at the cut stay chained; one ulp above splits
     step = 2.0**-20

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import warnings
 
@@ -191,7 +192,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
-        ("--rank-tol", "nan"), ("--rank-tol", "-1"),
+        ("--rank-tol", "nan"), ("--rank-tol", "-1"), ("--rank-tol", "1"),
         ("--degeneracy-tol", "nan"), ("--degeneracy-tol", "-1"),
     ])
     def test_bad_tolerance_flag_is_usage_error(self, bell_file, capsys, flag, value):
@@ -327,8 +328,16 @@ class TestVerify:
         assert main(["verify", bell_file, str(big), str(big), "--lenient"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: matrix singular values overflow; "
-                                "it has no computable nearest unitary\n")
+        assert captured.err == ("error: singular values overflow: "
+                                "the largest exceeds the float64 range\n")
+
+    def test_lenient_lapack_failure_exits_2(self, bell_file, tmp_path, capsys, failing_svd):
+        scaled = tmp_path / "scaled.json"
+        write_unitary_file(str(scaled), np.eye(2) * (1 + 1e-6))
+        assert main(["verify", bell_file, str(scaled), str(scaled), "--lenient"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SVD did not converge")
 
     def test_non_finite_unitary_exits_2_even_when_lenient(self, bell_file,
                                                           non_finite_unitary_file, capsys):
@@ -419,6 +428,21 @@ class TestUndo:
         assert lines[0] == "unitarity correction: u1 1.000e-06"
         assert lines[1].startswith("no undo exists: ")
 
+    def test_rank_tolerance_of_one_is_usage_error_and_writes_nothing(self, nondegenerate_file,
+                                                                     tmp_path, capsys):
+        # at --rank-tol 1 every value would count as zero, and any u1 would read as solvable
+        u1 = tmp_path / "sx.json"
+        out = tmp_path / "never.json"
+        write_unitary_file(str(u1), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert main(["undo", nondegenerate_file, str(u1), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["undo", nondegenerate_file, str(u1), "--out", str(out),
+                     "--rank-tol", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --rank-tol: tolerance must be below 1" in captured.err
+        assert not out.exists()
+
     def test_cluster_mixing_exits_1_with_diagnostic(self, nondegenerate_file, tmp_path, capsys):
         u1 = tmp_path / "sx.json"
         write_unitary_file(str(u1), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -492,6 +516,25 @@ class TestGen:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 0
+
+    def test_haar_random_schmidt_law(self, monkeypatch, capsys):
+        # For a Haar state on 2 x 2, t = lambda1 - lambda2 (lambda = sigma^2) has the
+        # density 3t^2 on [0, 1] (Zyczkowski & Sommers 2001), so its CDF is t^3, its mean
+        # 3/4 and its variance 3/80. Seeds, N and both bounds were fixed before any run:
+        # 1.63/sqrt(N) is the 1% critical value of the Kolmogorov-Smirnov statistic.
+        n = 20_000
+        states = []
+        monkeypatch.setattr(uli.cli, "write_state_file", lambda path, state: states.append(state))
+        for seed in range(n):
+            uli.cli.cmd_gen(argparse.Namespace(kind="haar-random", d1=2, d2=2, spectrum=None,
+                                               seed=seed, out="unused.json"))
+        capsys.readouterr()
+        sigma = np.linalg.svd(np.stack([s.psi for s in states]), compute_uv=False)
+        t = np.sort(sigma[:, 0] ** 2 - sigma[:, 1] ** 2)
+        cdf = t**3
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < 1.63 / np.sqrt(n)
+        assert abs(t.mean() - 0.75) < 5 * np.sqrt(3 / 80 / n)
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bell.json"

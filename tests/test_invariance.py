@@ -165,6 +165,39 @@ class TestSampleInvariantPair:
         assert np.max(np.abs(mean @ vec - vec)) <= 1e-12
 
 
+    def test_every_block_is_haar_and_side_2_is_conjugate(self):
+        # In the Schmidt basis r_j = s_j.conj() @ u_j @ s_j.T is block-diagonal. A Haar
+        # block W of size 2 has E|tr W|^2 = 1, E|tr W|^4 = 2 and E|tr W|^8 = 14
+        # (Diaconis & Shahshahani 1994), so the two means have standard errors
+        # sqrt(1/N) and sqrt(10/N); a block of size 1 is a phase. Seed, N and the
+        # 5-sigma bounds were fixed before any run.
+        rng = np.random.default_rng(2030)
+        sigma = np.array([np.sqrt(0.4), np.sqrt(0.4), np.sqrt(0.2)])
+        state = random_state_with_spectrum(sigma, 4, 5, rng)
+        structure = invariance_structure(state)
+        assert [m for _, m in structure.spectrum.clusters] == [2, 1]
+        assert structure.null_dims == (1, 2)
+        n = 5000
+        frames = [schmidt_frame(sample_invariant_pair(structure, rng), state) for _ in range(n)]
+        r1, r2 = (np.stack(r) for r in zip(*frames))
+        support = [slice(0, 2), slice(2, 3)]
+        blocks = [r1[:, b, b] for b in support] + [r1[:, 3:, 3:], r2[:, 3:, 3:]]
+        for b in support:
+            assert np.max(np.abs(r2[:, b, b] - r1[:, b, b].conj())) <= 1e-12
+        for r, cuts in ((r1, support + [slice(3, 4)]), (r2, support + [slice(3, 5)])):
+            off = r.copy()
+            for b in cuts:
+                off[:, b, b] = 0
+            assert np.max(np.abs(off)) <= 1e-12
+        for w in blocks:
+            tr2 = np.abs(np.trace(w, axis1=1, axis2=2)) ** 2
+            if w.shape[1] == 1:
+                assert np.max(np.abs(tr2 - 1)) <= 1e-12
+            else:
+                assert abs(tr2.mean() - 1) < 5 * np.sqrt(1 / n)
+                assert abs((tr2**2).mean() - 2) < 5 * np.sqrt(10 / n)
+
+
 class TestIsInvariant:
     def test_identity_pair(self):
         rng = np.random.default_rng(6)

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import uli.io
 from conftest import random_complex
 from uli import (
+    ConvergenceFailure,
     DimensionMismatch,
     NotNormalized,
     NotUnitary,
@@ -109,6 +110,21 @@ def test_lenient_refuses_a_singular_matrix(tmp_path, m):
     path = tmp_path / "singular.json"
     write_unitary_file(str(path), m)
     with pytest.raises(NotUnitary, match="singular"):
+        read_unitary_file(str(path), lenient=True)
+
+
+def test_lenient_lapack_failure_is_a_convergence_failure(tmp_path, failing_svd):
+    path = tmp_path / "almost.json"
+    write_unitary_file(str(path), np.eye(2) * (1 + 1e-6))
+    with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
+        read_unitary_file(str(path), lenient=True)
+
+
+def test_lenient_refuses_overflowing_singular_values(tmp_path):
+    # finite entries whose singular values, about 1.97e308, exceed the float64 range
+    path = tmp_path / "big.json"
+    write_unitary_file(str(path), np.array([[1.7e308, 1e308], [-1e308, 1.7e308]]))
+    with pytest.raises(ValueError, match="singular values overflow"):
         read_unitary_file(str(path), lenient=True)
 
 

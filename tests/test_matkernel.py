@@ -15,7 +15,7 @@ from uli import (
     svd,
     unitarity_defect,
 )
-from uli.matkernel import numerical_rank, singular_values
+from uli.matkernel import numerical_rank
 
 
 class TestSvd:
@@ -113,7 +113,7 @@ class TestSvd:
         with pytest.raises(ValueError, match="2-dimensional"):
             svd(np.zeros((2, 2, 2)))
 
-    @pytest.mark.parametrize("func", [svd, singular_values])
+    @pytest.mark.parametrize("func", [svd, real_nullspace_dimension])
     def test_lapack_failure_is_a_convergence_failure(self, failing_svd, func):
         with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
             func(np.eye(2))
@@ -178,6 +178,11 @@ class TestRealNullspaceDimension:
 
     def test_identity(self):
         assert real_nullspace_dimension(np.eye(3)) == 0
+
+    def test_refuses_overflowing_singular_values(self):
+        # singular values (inf, 0) would both count as zero: nullity 2, where it is 1
+        with pytest.raises(ValueError, match="singular values overflow"):
+            real_nullspace_dimension(np.full((2, 2), 1.7e308))
 
     def test_rank_one_outer_product(self):
         rng = np.random.default_rng(9)

@@ -55,6 +55,14 @@ def test_bad_tolerance_raises(func, keyword, value):
         CALLS[func](**{keyword: value})
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0])
+@pytest.mark.parametrize("func", ["undo_operator", "cluster_spectrum", "invariance_structure"])
+def test_rank_tolerance_of_one_or_more_raises(func, value):
+    # no value exceeds rank_tol >= 1 times the largest, so every state would read rank 0
+    with pytest.raises(ValueError, match="rank_tol must be below 1"):
+        CALLS[func](rank_tol=value)
+
+
 @pytest.mark.parametrize("func,keyword", KEYWORDS)
 def test_zero_tolerance_is_accepted(func, keyword):
     CALLS[func](**{keyword: 0.0})
