@@ -24,8 +24,7 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_NORM_TOL,
     DEFAULT_RANK_TOL,
-    check_rank_tolerance,
-    check_tolerance,
+    check_cutoff,
 )
 from .errors import BadSpectrum, DimensionMismatch, NotNormalized, NotSorted
 from .matkernel import (
@@ -201,12 +200,13 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
                      dims: tuple[int, int] | None = None) -> DegeneracySpectrum:
     """Group a descending spectrum into equal-value clusters.
 
-    Values at or below ``rank_tol`` times the largest go to the null space;
-    ``rank_tol`` must be below 1, or every value would.
+    Values at or below ``rank_tol`` times the largest go to the null space.
     Surviving neighbors chain into one cluster when their gap is at most
     ``degeneracy_tol`` times the largest value; chaining makes the degeneracy
-    decision transitive. ``dims`` supplies (d1, d2) for the null dimensions
-    and defaults to a square system the size of the spectrum.
+    decision transitive. Both must be below 1: at 1 every value would go to
+    the null space, or every support value into one cluster. ``dims``
+    supplies (d1, d2) for the null dimensions and defaults to a square
+    system the size of the spectrum.
     """
     s = np.asarray(sigma, dtype=float)
     if s.ndim != 1:
@@ -220,8 +220,8 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
             f"spectrum of length {s.size} does not fit dims ({d1}, {d2})"
         )
 
-    rank = numerical_rank(s, check_rank_tolerance(rank_tol, "rank_tol"))
-    gap_cut = check_tolerance(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
+    rank = numerical_rank(s, check_cutoff(rank_tol, "rank_tol"))
+    gap_cut = check_cutoff(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
     v = s[:rank].tolist()
     # a cluster starts at 0 and after every gap above the cut; it ends where the next starts
     starts = [k for k in range(rank) if k == 0 or v[k - 1] - v[k] > gap_cut]

@@ -5,8 +5,8 @@ Subcommands: ``analyze`` (stabilizer report for a state file), ``sample``
 (solve for the compensating unitary), ``gen`` (write test states).
 
 Exit codes: 0 success or invariant, 1 well-formed negative answer, 2 input
-error, 3 internal oracle mismatch, 64 usage error. Failure diagnostics go to
-stderr only.
+error, 3 internal oracle mismatch or failed re-verification, 64 usage error.
+Failure diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .config import (
     DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
-    check_rank_tolerance,
+    check_cutoff,
     check_tolerance,
 )
 from .errors import ToolkitError
@@ -87,18 +87,18 @@ def _tolerance(text: str, check=check_tolerance) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _rank_tolerance(text: str) -> float:
-    return _tolerance(text, check_rank_tolerance)
+def _cutoff(text: str) -> float:
+    return _tolerance(text, check_cutoff)
 
 
-def _add_common(parser, *, tol=False, structure=False, fmt=False, lenient=False):
+def _add_common(parser, *, tol=None, structure=False, fmt=False, lenient=False):
     if structure:
-        parser.add_argument("--rank-tol", type=_rank_tolerance, default=DEFAULT_RANK_TOL,
+        parser.add_argument("--rank-tol", type=_cutoff, default=DEFAULT_RANK_TOL,
                             help="relative cutoff separating zero singular values")
-        parser.add_argument("--degeneracy-tol", type=_tolerance, default=DEFAULT_DEGENERACY_TOL,
+        parser.add_argument("--degeneracy-tol", type=_cutoff, default=DEFAULT_DEGENERACY_TOL,
                             help="relative gap below which singular values cluster")
-    if tol:
-        parser.add_argument("--tol", type=_tolerance, default=DEFAULT_DECISION_TOL,
+    if tol is not None:
+        parser.add_argument("--tol", type=tol, default=DEFAULT_DECISION_TOL,
                             help="decision tolerance (default %(default)s)")
     parser.add_argument("--normalize", action="store_true",
                         help="rescale a non-normalized input state")
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="report the stabilizer structure of a state")
     p.add_argument("state", help="state file path, or - for stdin")
-    _add_common(p, tol=True, structure=True, fmt=True)
+    _add_common(p, tol=_cutoff, structure=True, fmt=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sample", help="draw invariant unitary pairs")
@@ -131,14 +131,14 @@ def _build_parser() -> _Parser:
     p.add_argument("state", help="state file path, or - for stdin")
     p.add_argument("u1", help="unitary file for subsystem 1")
     p.add_argument("u2", help="unitary file for subsystem 2")
-    _add_common(p, tol=True, fmt=True, lenient=True)
+    _add_common(p, tol=_tolerance, fmt=True, lenient=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("undo", help="solve for the unitary undoing a local operation")
     p.add_argument("state", help="state file path, or - for stdin")
     p.add_argument("u1", help="unitary file for subsystem 1")
     p.add_argument("--out", required=True, help="output path for the solved unitary")
-    _add_common(p, tol=True, structure=True, lenient=True)
+    _add_common(p, tol=_tolerance, structure=True, lenient=True)
     p.set_defaults(func=cmd_undo)
 
     p = sub.add_parser("gen", help="write a test state file")
@@ -294,6 +294,12 @@ def cmd_undo(args) -> int:
         print(f"no undo exists: off-block mass {result.off_block_mass:.6e} "
               f"exceeds tolerance {args.tol:.1e}")
         return EXIT_NEGATIVE
+    # a loose --degeneracy-tol can solve the clustered spectrum but not the state
+    check = is_invariant(result, state, tol=args.tol)
+    if not check.invariant:
+        print(f"error: undo unitary fails re-verification (residual {check.residual:.3e})",
+              file=sys.stderr)
+        return EXIT_ORACLE
     write_unitary_file(args.out, result.u2)
     print(f"wrote undo unitary to {args.out}")
     return EXIT_OK

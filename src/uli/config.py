@@ -34,8 +34,9 @@ def check_tolerance(value, name: str) -> float:
     return tol
 
 
-def check_rank_tolerance(value, name: str) -> float:
-    """``check_tolerance``, also refusing 1 and above: such a cutoff counts every value as zero."""
+def check_cutoff(value, name: str) -> float:
+    """``check_tolerance``, also refusing 1 and above: such a relative cutoff decides alike
+    for every spectrum, since no value and no gap in the support exceeds it."""
     tol = check_tolerance(value, name)
     if tol >= 1:
         raise ValueError(f"{name} must be below 1, got {value!r}")

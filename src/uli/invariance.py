@@ -37,7 +37,7 @@ from .config import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_RANK_TOL,
     UNITARY_TOL,
-    check_rank_tolerance,
+    check_cutoff,
     check_tolerance,
 )
 from .errors import NotUnitary
@@ -130,8 +130,7 @@ def invariance_structure(state: BipartiteState, rank_tol: float = DEFAULT_RANK_T
     tolerances returns that same immutable object, and other tolerances
     build a new one that replaces it.
     """
-    key = (check_rank_tolerance(rank_tol, "rank_tol"),
-           check_tolerance(degeneracy_tol, "degeneracy_tol"))
+    key = (check_cutoff(rank_tol, "rank_tol"), check_cutoff(degeneracy_tol, "degeneracy_tol"))
     last = state._structure  # read once: another thread may replace it meanwhile
     if last is not None and last[0] == key:
         return last[1]
@@ -276,6 +275,6 @@ def lie_algebra_dimension(state: BipartiteState, tol: float = DEFAULT_DECISION_T
     whose off-diagonal elements have norm sqrt2, a decision can differ only
     for a value within a factor of 2 of the cutoff.
     """
-    tol = check_tolerance(tol, "tol")
+    tol = check_cutoff(tol, "tol")
     spectrum = _linearized_spectrum(schmidt_decompose(state).sigma, state.d1, state.d2)
     return state.d1**2 + state.d2**2 - numerical_rank(spectrum, tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DECISION_TOL, check_tolerance
+from .config import DEFAULT_DECISION_TOL, check_cutoff
 from .errors import ConvergenceFailure, DimensionMismatch
 
 
@@ -165,7 +165,7 @@ def real_nullspace_dimension(coeffs, tol: float = DEFAULT_DECISION_TOL) -> int:
     small singular values keeps wide systems (more unknowns than equations)
     correct.
     """
-    tol = check_tolerance(tol, "tol")
+    tol = check_cutoff(tol, "tol")
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 2 or c.size == 0:
         raise ValueError("coeffs must be a non-empty 2-d real array")

@@ -67,6 +67,13 @@ class TestVecMatrix:
             vec_to_matrix(np.array([1.0, 1.0, 0, 0]), 2, 2)
         assert excinfo.value.norm == pytest.approx(np.sqrt(2))
 
+    def test_rejects_a_norm_just_above_the_norm_tolerance(self):
+        # DEFAULT_NORM_TOL is 1e-10; a deviation of 2e-10 is refused without normalize
+        psi = np.diag([np.sqrt(0.8), np.sqrt(0.2)]).astype(complex)
+        with pytest.raises(NotNormalized):
+            state_from_matrix(psi * (1 + 2e-10))
+        assert state_from_matrix(psi * (1 + 2e-10), normalize=True).input_norm > 1
+
     def test_normalize_flag_records_input_norm(self):
         state = state_from_matrix(np.array([[2.0, 0], [0, 0]]), normalize=True)
         assert state.input_norm == pytest.approx(2.0)

@@ -10,7 +10,7 @@ import pytest
 from conftest import HADAMARD
 import uli.cli
 from uli.cli import main
-from uli.io import read_unitary_file, write_state_file, write_unitary_file
+from uli.io import read_state_file, read_unitary_file, write_state_file, write_unitary_file
 from uli import UnitaryPair, state_from_matrix
 from uli import cluster_spectrum, schmidt_decompose
 
@@ -194,6 +194,7 @@ class TestAnalyze:
         ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
         ("--rank-tol", "nan"), ("--rank-tol", "-1"), ("--rank-tol", "1"),
         ("--degeneracy-tol", "nan"), ("--degeneracy-tol", "-1"),
+        ("--tol", "1"), ("--degeneracy-tol", "1"),
     ])
     def test_bad_tolerance_flag_is_usage_error(self, bell_file, capsys, flag, value):
         assert main(["analyze", bell_file, f"{flag}={value}"]) == 64
@@ -441,6 +442,47 @@ class TestUndo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --rank-tol: tolerance must be below 1" in captured.err
+        assert not out.exists()
+
+    def test_degeneracy_tolerance_of_one_is_usage_error_and_writes_nothing(
+            self, nondegenerate_file, tmp_path, capsys):
+        # at --degeneracy-tol 1 the whole support would chain into one cluster
+        u1 = tmp_path / "sx.json"
+        out = tmp_path / "never.json"
+        write_unitary_file(str(u1), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert main(["undo", nondegenerate_file, str(u1), "--out", str(out),
+                     "--degeneracy-tol", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --degeneracy-tol: tolerance must be below 1" in captured.err
+        assert not out.exists()
+
+    def test_residual_tolerance_of_one_is_legal(self, nondegenerate_file, tmp_path, capsys):
+        # verify's and undo's --tol bound a residual, so 1 is a loose but valid answer
+        u1 = tmp_path / "sx.json"
+        out = tmp_path / "undo.json"
+        write_unitary_file(str(u1), np.array([[0, 1], [1, 0]], dtype=complex))
+        assert main(["verify", nondegenerate_file, str(u1), str(u1), "--tol", "1"]) == 0
+        assert main(["undo", nondegenerate_file, str(u1), "--out", str(out), "--tol", "1"]) == 0
+        assert out.exists()
+
+    def test_answer_that_fails_re_verification_exits_3_and_writes_nothing(self, tmp_path,
+                                                                          capsys):
+        # --degeneracy-tol 0.5 merges the Schmidt values 0.8 and 0.6, so a Hadamard in the
+        # Schmidt basis solves the clustered spectrum but leaves the state changed
+        state_path = tmp_path / "s.json"
+        assert main(["gen", "spectrum", "--d1", "2", "--d2", "2", "--spectrum", "0.8", "0.6",
+                     "--seed", "0", "--out", str(state_path)]) == 0
+        s1 = schmidt_decompose(read_state_file(str(state_path))).s1
+        u1 = tmp_path / "u1.json"
+        out = tmp_path / "never.json"
+        write_unitary_file(str(u1), s1.T @ HADAMARD @ s1.conj())
+        capsys.readouterr()
+        assert main(["undo", str(state_path), str(u1), "--out", str(out),
+                     "--degeneracy-tol", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: undo unitary fails re-verification (residual ")
         assert not out.exists()
 
     def test_cluster_mixing_exits_1_with_diagnostic(self, nondegenerate_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from conftest import (
     clustered_spectrum,
     distinct_spectrum,
     fuzz_state,
+    random_state,
 )
 from uli import (
     DimensionMismatch,
@@ -197,6 +198,64 @@ class TestSampleInvariantPair:
                 assert abs(tr2.mean() - 1) < 5 * np.sqrt(1 / n)
                 assert abs((tr2**2).mean() - 2) < 5 * np.sqrt(10 / n)
 
+    def test_seeded_draws_follow_the_documented_order(self):
+        # support blocks, then the side-1 null block, then the side-2 one; replaying the
+        # generator through haar_unitary on the same build pins the order on any BLAS
+        sigma = np.array([np.sqrt(0.4), np.sqrt(0.4), np.sqrt(0.2)])
+        state = random_state_with_spectrum(sigma, 4, 5, np.random.default_rng(7))
+        structure = invariance_structure(state)
+        assert [m for _, m in structure.spectrum.clusters] == [2, 1]
+        assert structure.null_dims == (1, 2)
+        pair = sample_invariant_pair(structure, np.random.default_rng(31))
+        replay = np.random.default_rng(31)
+        pair_block, single, null1, null2 = (haar_unitary(n, replay) for n in (2, 1, 1, 2))
+        expected1 = np.zeros((4, 4), dtype=complex)
+        expected2 = np.zeros((5, 5), dtype=complex)
+        for expected, blocks in ((expected1, (pair_block, single, null1)),
+                                 (expected2, (pair_block.conj(), single.conj(), null2))):
+            start = 0
+            for w in blocks:
+                expected[start:start + len(w), start:start + len(w)] = w
+                start += len(w)
+        r1, r2 = schmidt_frame(pair, state)
+        assert np.max(np.abs(r1 - expected1)) <= 1e-12
+        assert np.max(np.abs(r2 - expected2)) <= 1e-12
+
+
+class TestResidualBoundaries:
+    """Each residual decision answers yes at or below tol: pinned at one ulp."""
+
+    @staticmethod
+    def state_and_pair():
+        rng = np.random.default_rng(11)
+        sigma = np.array([np.sqrt(0.5), np.sqrt(0.3), np.sqrt(0.2)])
+        state = random_state_with_spectrum(sigma, 4, 5, rng)
+        return state, UnitaryPair(u1=haar_unitary(4, rng), u2=haar_unitary(5, rng))
+
+    def test_is_invariant(self):
+        state, pair = self.state_and_pair()
+        residual = is_invariant(pair, state, tol=0).residual
+        assert residual > 0
+        assert is_invariant(pair, state, tol=residual).invariant
+        assert not is_invariant(pair, state, tol=np.nextafter(residual, 0)).invariant
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_commutant_check(self, side):
+        state, pair = self.state_and_pair()
+        residual = getattr(commutant_check(pair, state, tol=0), f"residual{side}")
+        assert residual > 0
+        assert getattr(commutant_check(pair, state, tol=residual), f"side{side}")
+        below = commutant_check(pair, state, tol=np.nextafter(residual, 0))
+        assert not getattr(below, f"side{side}")
+
+    def test_undo_operator(self):
+        state, pair = self.state_and_pair()
+        mass = undo_operator(pair.u1, state, tol=0).off_block_mass
+        assert mass > 0
+        assert isinstance(undo_operator(pair.u1, state, tol=mass), UnitaryPair)
+        below = undo_operator(pair.u1, state, tol=np.nextafter(mass, 0))
+        assert below == NoSolution(off_block_mass=mass)
+
 
 class TestIsInvariant:
     def test_identity_pair(self):
@@ -319,6 +378,11 @@ class TestUndoOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             undo_operator(np.eye(2) * 2.0, bell_state())
+
+    def test_rejects_a_defect_just_above_the_unitarity_tolerance(self):
+        # (1 + e) I has the defect (1 + e)^2 - 1, about 2e, against UNITARY_TOL = 1e-10
+        with pytest.raises(NotUnitary, match="by 2.000e-10"):
+            undo_operator((1 + 1e-10) * np.eye(4), random_state(np.random.default_rng(3), 4, 5))
 
     def test_overflowing_u1_is_not_unitary_without_a_warning(self):
         # the suite turns numpy's overflow warning into an error

@@ -63,6 +63,26 @@ def test_rank_tolerance_of_one_or_more_raises(func, value):
         CALLS[func](rank_tol=value)
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0])
+@pytest.mark.parametrize("func,keyword", [
+    ("undo_operator", "degeneracy_tol"),
+    ("real_nullspace_dimension", "tol"),
+    ("lie_algebra_dimension", "tol"),
+    ("cluster_spectrum", "degeneracy_tol"),
+    ("invariance_structure", "degeneracy_tol"),
+])
+def test_relative_cutoff_of_one_or_more_raises(func, keyword, value):
+    # no value, and no gap between two support values, exceeds such a fraction of the largest
+    with pytest.raises(ValueError, match=f"{keyword} must be below 1"):
+        CALLS[func](**{keyword: value})
+
+
+@pytest.mark.parametrize("func", ["is_invariant", "commutant_check", "undo_operator"])
+def test_residual_tolerance_of_one_or_more_is_accepted(func):
+    CALLS[func](tol=1.0)
+    CALLS[func](tol=2.0)
+
+
 @pytest.mark.parametrize("func,keyword", KEYWORDS)
 def test_zero_tolerance_is_accepted(func, keyword):
     CALLS[func](**{keyword: 0.0})
