@@ -25,6 +25,7 @@ from uli import (
     lie_algebra_dimension,
     state_from_matrix,
 )
+from uli.cli import _cutoff
 
 
 def two_level_state(gap):
@@ -35,8 +36,8 @@ def two_level_state(gap):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degeneracy-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
-    parser.add_argument("--decision-tol", type=float, default=DEFAULT_DECISION_TOL)
+    parser.add_argument("--degeneracy-tol", type=_cutoff, default=DEFAULT_DEGENERACY_TOL)
+    parser.add_argument("--decision-tol", type=_cutoff, default=DEFAULT_DECISION_TOL)
     args = parser.parse_args()
 
     print(f"{'gap':>10}  {'blocks dim':>10}  {'oracle dim':>10}  agree")

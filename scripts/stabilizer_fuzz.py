@@ -30,6 +30,7 @@ from uli import (
     state_from_matrix,
     undo_operator,
 )
+from uli.cli import _int_at_least, _positive_int, _seed
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -55,12 +56,17 @@ def same_undo(a, b):
     return np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
 
 
+def _max_dim(text):
+    # each side is drawn from 2..max_dim
+    return _int_at_least(text, 2, "2-or-larger")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--states", type=int, default=500)
-    parser.add_argument("--pairs-per-state", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-dim", type=int, default=6)
+    parser.add_argument("--states", type=_positive_int, default=500)
+    parser.add_argument("--pairs-per-state", type=_positive_int, default=3)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--max-dim", type=_max_dim, default=6)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

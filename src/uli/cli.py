@@ -12,6 +12,7 @@ Failure diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -349,5 +350,20 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def run() -> int:
+    """Process entry point of ``uli`` and ``python -m uli.cli``: ``main()``, then the exit code.
+
+    Freezing the collector moves every tracked object into the permanent
+    generation, which the collections at interpreter shutdown skip, so the
+    process does not sweep and free what the OS reclaims at exit anyway.
+    Stdio flushing, atexit handlers and the exit status keep their normal
+    path. Frozen objects are never collected again, so code that goes on
+    running in the same interpreter calls ``main()`` instead.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
