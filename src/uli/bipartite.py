@@ -48,8 +48,9 @@ class BipartiteState:
     requested rescaling can still see what they passed in.
 
     The state holds its own read-only copy of ``psi``, so it cannot change
-    after it is built. What ``psi`` alone determines is computed at most once
-    and kept read-only: the Schmidt form and the two reduced operators.
+    after it is built; ``as_complex_matrix`` refuses a ``psi`` that is not a
+    non-empty finite 2-d array. What ``psi`` alone determines is computed at
+    most once and kept read-only: the Schmidt form and the two reduced operators.
     ``_structure`` holds the last ``invariance_structure`` built for this
     state, with the tolerances it was built for. Equality and hashing are by
     identity.
@@ -60,7 +61,7 @@ class BipartiteState:
     _structure: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "psi", _read_only(np.array(self.psi, dtype=np.complex128)))
+        object.__setattr__(self, "psi", _read_only(np.array(as_complex_matrix(self.psi, "psi"))))
 
     @cached_property
     def _schmidt(self) -> SchmidtForm:
@@ -221,8 +222,8 @@ def cluster_spectrum(sigma, rank_tol: float = DEFAULT_RANK_TOL,
         )
 
     rank = numerical_rank(s, check_cutoff(rank_tol, "rank_tol"))
-    gap_cut = check_cutoff(degeneracy_tol, "degeneracy_tol") * np.max(s, initial=0.0)
     v = s[:rank].tolist()
+    gap_cut = check_cutoff(degeneracy_tol, "degeneracy_tol") * (v[0] if v else 0.0)
     # a cluster starts at 0 and after every gap above the cut; it ends where the next starts
     starts = [k for k in range(rank) if k == 0 or v[k - 1] - v[k] > gap_cut]
     clusters = tuple((v[a] if b - a == 1 else float(s[a:b].mean()), b - a)

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bipartite import random_state_with_spectrum, state_from_matrix
+from .bipartite import random_state_with_spectrum, state_from_matrix, vec_to_matrix
 from .config import (
     DEFAULT_DECISION_TOL,
     DEFAULT_DEGENERACY_TOL,
@@ -233,6 +233,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _reverified(pair, state, tol: float, subject: str) -> bool:
+    if not (check := is_invariant(pair, state, tol=tol)).invariant:
+        print(f"error: {subject} fails re-verification (residual {check.residual:.3e})",
+              file=sys.stderr)
+    return check.invariant
+
+
 def cmd_sample(args) -> int:
     state = read_state_file(args.state, normalize=args.normalize)
     structure = invariance_structure(state, rank_tol=args.rank_tol,
@@ -241,10 +248,7 @@ def cmd_sample(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         pair = sample_invariant_pair(structure, rng)
-        check = is_invariant(pair, state, tol=DEFAULT_DECISION_TOL)
-        if not check.invariant:
-            print(f"error: sampled pair {i} fails re-verification "
-                  f"(residual {check.residual:.3e})", file=sys.stderr)
+        if not _reverified(pair, state, DEFAULT_DECISION_TOL, f"sampled pair {i}"):
             return EXIT_ORACLE
         write_unitary_file(os.path.join(args.out, f"pair{i:03d}.u1.json"), pair.u1)
         write_unitary_file(os.path.join(args.out, f"pair{i:03d}.u2.json"), pair.u2)
@@ -296,10 +300,7 @@ def cmd_undo(args) -> int:
               f"exceeds tolerance {args.tol:.1e}")
         return EXIT_NEGATIVE
     # a loose --degeneracy-tol can solve the clustered spectrum but not the state
-    check = is_invariant(result, state, tol=args.tol)
-    if not check.invariant:
-        print(f"error: undo unitary fails re-verification (residual {check.residual:.3e})",
-              file=sys.stderr)
+    if not _reverified(result, state, args.tol, "undo unitary"):
         return EXIT_ORACLE
     write_unitary_file(args.out, result.u2)
     print(f"wrote undo unitary to {args.out}")
@@ -310,23 +311,20 @@ def cmd_gen(args) -> int:
     if args.spectrum is not None and args.kind != "spectrum":
         print("error: --spectrum applies only to kind=spectrum", file=sys.stderr)
         return EXIT_USAGE
+    if args.kind == "spectrum" and args.spectrum is None:
+        print("error: kind=spectrum requires --spectrum", file=sys.stderr)
+        return EXIT_USAGE
     # bell draws nothing, so it builds no generator and never imports numpy.random
     rng = None if args.kind == "bell" else np.random.default_rng(args.seed)
     d1, d2 = args.d1, args.d2
     if args.kind == "bell":
         d = min(d1, d2)
-        psi = rect_diag(np.full(d, 1.0 / np.sqrt(d)), d1, d2)
-        state = state_from_matrix(psi)
-    elif args.kind == "product":
-        state = random_state_with_spectrum(np.array([1.0]), d1, d2, rng)
+        state = state_from_matrix(rect_diag(np.full(d, 1.0 / np.sqrt(d)), d1, d2))
     elif args.kind == "haar-random":
         v = rng.standard_normal(d1 * d2) + 1j * rng.standard_normal(d1 * d2)
-        state = state_from_matrix((v / np.linalg.norm(v)).reshape(d1, d2))
-    else:
-        if args.spectrum is None:
-            print("error: kind=spectrum requires --spectrum", file=sys.stderr)
-            return EXIT_USAGE
-        sigma = np.asarray(sorted(args.spectrum, reverse=True), dtype=float)
+        state = vec_to_matrix(v / np.linalg.norm(v), d1, d2)
+    else:  # a product state is the spectrum [1]
+        sigma = np.asarray(sorted(args.spectrum or [1.0], reverse=True), dtype=float)
         state = random_state_with_spectrum(sigma[sigma != 0], d1, d2, rng)
     write_state_file(args.out, state)
     print(f"wrote {d1}x{d2} state to {args.out}")

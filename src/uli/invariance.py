@@ -184,6 +184,12 @@ def sample_invariant_pair(structure: InvarianceStructure, rng: np.random.Generat
     return UnitaryPair(u1=_unitary(structure, 1, ws, null1), u2=_unitary(structure, 2, ws, null2))
 
 
+def _operands(pair: UnitaryPair, state: BipartiteState, tol) -> tuple:
+    """``tol``, ``u1`` (d1 x d1) and ``u2`` (d2 x d2) of a pair test, validated in that order."""
+    return (check_tolerance(tol, "tol"), as_square_matrix(pair.u1, "u1", state.d1),
+            as_square_matrix(pair.u2, "u2", state.d2))
+
+
 def is_invariant(pair: UnitaryPair, state: BipartiteState,
                  tol: float = DEFAULT_DECISION_TOL) -> InvarianceCheck:
     """Decide ``u1 @ psi @ u2.T == psi`` by the max-entry residual.
@@ -191,9 +197,7 @@ def is_invariant(pair: UnitaryPair, state: BipartiteState,
     Strict equality is required, not equality up to a global phase. A
     product that overflows has the residual ``inf``.
     """
-    tol = check_tolerance(tol, "tol")
-    u1 = as_square_matrix(pair.u1, "u1", state.d1)
-    u2 = as_square_matrix(pair.u2, "u2", state.d2)
+    tol, u1, u2 = _operands(pair, state, tol)
     residual = _residual(lambda: u1 @ state.psi @ u2.T - state.psi)
     return InvarianceCheck(invariant=residual <= tol, residual=residual)
 
@@ -206,11 +210,8 @@ def commutant_check(pair: UnitaryPair, state: BipartiteState,
     a maximally mixed reduction commutes with every unitary. A commutator
     whose products overflow has the residual ``inf``.
     """
-    tol = check_tolerance(tol, "tol")
-    u1 = as_square_matrix(pair.u1, "u1", state.d1)
-    u2 = as_square_matrix(pair.u2, "u2", state.d2)
-    rho1 = partial_trace_2(state)
-    rho2 = partial_trace_1(state)
+    tol, u1, u2 = _operands(pair, state, tol)
+    rho1, rho2 = partial_trace_2(state), partial_trace_1(state)
     res1 = _residual(lambda: u1 @ rho1 - rho1 @ u1)
     res2 = _residual(lambda: u2 @ rho2 - rho2 @ u2)
     return CommutantCheck(side1=res1 <= tol, side2=res2 <= tol, residual1=res1, residual2=res2)

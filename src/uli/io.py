@@ -18,7 +18,8 @@ import numpy as np
 from .bipartite import BipartiteState, state_from_matrix
 from .config import DEFAULT_RANK_TOL, UNITARY_TOL
 from .errors import DimensionMismatch, NotUnitary
-from .matkernel import _lapack_svd, _residual, _unitarity_defect, as_complex_matrix, numerical_rank
+from .matkernel import (_as_square, _lapack_svd, _residual, _unitarity_defect,
+                        as_complex_matrix, numerical_rank)
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
@@ -71,8 +72,8 @@ CHUNK = 16384
 def _write_json(obj, fh) -> None:
     # json.dumps takes the C encoder, json.dump the pure-Python one; its default
     # separators ", " and ": " are the file format
-    if isinstance(obj, np.ndarray):  # a 2-d float array
-        step = max(1, CHUNK // obj.shape[1])
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:  # a 2-d float array
+        step = max(1, CHUNK // max(1, obj.shape[1]))
         fh.write("[")
         for start in range(0, len(obj), step):
             # the chunk's rows without its outer brackets
@@ -120,9 +121,7 @@ def _load(source: str) -> dict:
 
 
 def write_state_file(path: str, state: BipartiteState) -> None:
-    obj = {"d1": state.d1, "d2": state.d2}
-    obj.update(_matrix_payload(state.psi))
-    _dump(obj, path)
+    _dump({"d1": state.d1, "d2": state.d2, **_matrix_payload(state.psi)}, path)
 
 
 def read_state_file(source: str, *, normalize: bool = False) -> BipartiteState:
@@ -134,12 +133,8 @@ def read_state_file(source: str, *, normalize: bool = False) -> BipartiteState:
 
 
 def write_unitary_file(path: str, u: np.ndarray) -> None:
-    m = as_complex_matrix(u, "u")
-    if m.shape[0] != m.shape[1]:  # read_unitary_file would refuse the file
-        raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")
-    obj = {"n": m.shape[0]}
-    obj.update(_matrix_payload(m))
-    _dump(obj, path)
+    m = _as_square(u)  # read_unitary_file would refuse a non-square file
+    _dump({"n": m.shape[0], **_matrix_payload(m)}, path)
 
 
 def read_unitary_file(source: str, *, lenient: bool = False) -> tuple[np.ndarray, float]:

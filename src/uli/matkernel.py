@@ -48,12 +48,17 @@ def rect_diag(values, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def unitarity_defect(u) -> float:
-    """Max-entry deviation of ``u.conj().T @ u`` from the identity; ``inf`` if it overflows."""
+def _as_square(u) -> np.ndarray:
+    """``as_complex_matrix(u, "u")``, raising DimensionMismatch unless it is square."""
     m = as_complex_matrix(u, "u")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")
-    return _unitarity_defect(m)
+    return m
+
+
+def unitarity_defect(u) -> float:
+    """Max-entry deviation of ``u.conj().T @ u`` from the identity; ``inf`` if it overflows."""
+    return _unitarity_defect(_as_square(u))
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -106,8 +111,9 @@ def _normalize_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.nda
     # singular values and are phase-fixed independently.
     paired = min(u.shape[0], vh.shape[0])
     col_phase = _unit_phases(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
-    row_pivot = vh[np.arange(vh.shape[0]), np.argmax(np.abs(vh), axis=1)]
-    row_phase = np.concatenate([col_phase[:paired], _unit_phases(row_pivot[paired:]).conj()])
+    unpaired = vh[paired:]
+    row_pivot = unpaired[np.arange(len(unpaired)), np.argmax(np.abs(unpaired), axis=1)]
+    row_phase = np.concatenate([col_phase[:paired], _unit_phases(row_pivot).conj()])
     # explicit broadcast axes: a bare 1-d factor rounds differently on 1x1 input
     return u * col_phase.conj()[None, :], vh * row_phase[:, None]
 

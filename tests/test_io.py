@@ -272,3 +272,25 @@ def test_dump_json_writes_the_bytes_of_one_json_dumps(tree):
         with mock.patch.object(uli.io, "CHUNK", chunk):
             uli.io.dump_json(tree, buf)
         assert buf.getvalue() == expected
+
+
+def test_dump_json_writes_arrays_with_a_zero_side_like_json_dumps():
+    # a 2-d array with no columns used to divide CHUNK by zero
+    for shape in [(3, 0), (0, 0), (0, 3)]:
+        tree = {"a": np.zeros(shape), "b": {"c": np.zeros(shape)}}
+        expected = json.dumps(_as_lists(tree)) + "\n"
+        for chunk in (1, 3, uli.io.CHUNK):
+            buf = io.StringIO()
+            with mock.patch.object(uli.io, "CHUNK", chunk):
+                uli.io.dump_json(tree, buf)
+            assert buf.getvalue() == expected, (shape, chunk)
+
+
+def test_dump_json_refuses_a_1d_array_like_json_dumps():
+    # only 2-d arrays go to the row writer; anything else is one json.dumps call
+    tree = {"a": np.zeros(3)}
+    with pytest.raises(TypeError) as want:
+        json.dumps(tree)
+    with pytest.raises(TypeError) as got:
+        uli.io.dump_json(tree, io.StringIO())
+    assert str(got.value) == str(want.value)

@@ -78,6 +78,33 @@ def test_direct_construction_copies_too():
     assert state.psi.dtype == np.complex128
 
 
+def _refusal(build, psi):
+    with pytest.raises(ValueError) as info:
+        build(psi)
+    return str(info.value)
+
+
+def test_direct_construction_refuses_non_finite_entries():
+    # is_invariant and commutant_check used to answer such a state instead of refusing it
+    psi = np.full((2, 2), np.nan)
+    assert _refusal(bipartite.BipartiteState, psi) == "psi contains non-finite entries"
+    assert _refusal(state_from_matrix, psi) == "psi contains non-finite entries"
+
+
+def test_direct_construction_refuses_a_vector():
+    # .d2 of such a state used to raise IndexError
+    psi = np.ones(3)
+    assert _refusal(bipartite.BipartiteState, psi) == "psi must be 2-dimensional, got shape (3,)"
+    assert _refusal(state_from_matrix, psi) == "psi must be 2-dimensional, got shape (3,)"
+
+
+def test_direct_construction_refuses_an_empty_matrix():
+    # such a state used to build with d1 == 0
+    psi = np.zeros((0, 2))
+    assert _refusal(bipartite.BipartiteState, psi) == "psi must be non-empty"
+    assert _refusal(state_from_matrix, psi) == "psi must be non-empty"
+
+
 def test_psi_and_schmidt_arrays_are_read_only():
     state = random_state(np.random.default_rng(1), 3, 4)
     schmidt = schmidt_decompose(state)
